@@ -196,7 +196,8 @@ func TestTranslatedProgramRunsUnderSCOnly(t *testing.T) {
 // TestProbeSoundness: any bug the probe variants find is found by the
 // full translation too (the probe explores a subset of guesses).
 func TestProbeSoundness(t *testing.T) {
-	progs := []*lang.Program{mpObservable(), chain2(), casExclusive()}
+	progs := []*lang.Program{mpObservable(), chain2(), casExclusive(), mpSafe(), sbChecked(false),
+		sbChecked(true), coherence(), fencedMP(), casHandoff()}
 	for _, p := range progs {
 		for k := 0; k <= 2; k++ {
 			full, err := Run(p, Options{K: k, NoProbes: true})
@@ -209,6 +210,11 @@ func TestProbeSoundness(t *testing.T) {
 			}
 			if full.Verdict != probed.Verdict {
 				t.Errorf("%s K=%d: NoProbes=%v with-probes=%v", p.Name, k, full.Verdict, probed.Verdict)
+			}
+			for _, res := range []Result{full, probed} {
+				if res.Verdict == Unsafe && !res.WitnessValidated {
+					t.Errorf("%s K=%d: UNSAFE witness not validated: %s", p.Name, k, res.WitnessErr)
+				}
 			}
 		}
 	}

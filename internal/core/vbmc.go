@@ -361,10 +361,13 @@ const ladderCap = 150_000
 // with iterative context deepening: counterexamples typically need very
 // few contexts, and the k-context state space is far smaller than the
 // full one, so small bounds are searched first; the final full-bound
-// run still decides SAFE exactly. Phase timings are recorded against
-// rec under the given phase prefix (phase+".compile", one
-// phase+".deepen" span per ladder round, phase+".search" for the final
-// full-bound run).
+// run still decides SAFE exactly. A rung that exhausts its context
+// bound without a violation (neither capped nor timed out) skips the
+// other process order at that bound: the visited node set does not
+// depend on the order (DESIGN.md §3c), so the twin cannot find
+// anything. Phase timings are recorded against rec under the given
+// phase prefix (phase+".compile", one phase+".deepen" span per ladder
+// round, phase+".search" for the final full-bound run).
 func checkDeepening(translated *lang.Program, bound int, scOpts sc.Options, rec *obs.Recorder, phase string) sc.Result {
 	span := rec.StartPhase(phase + ".compile")
 	cp, err := lang.Compile(translated)
@@ -417,6 +420,13 @@ func checkDeepening(translated *lang.Program, bound int, scOpts sc.Options, rec 
 			if res.Violation || res.TimedOut {
 				res.States, res.Transitions = totalStates, totalTransitions
 				return res
+			}
+			if res.Exhausted && !rev {
+				// The reversed order would re-cover the same node set;
+				// take its round off the plan so that deepen_rounds
+				// still reaches deepen_total.
+				gTotal.Set(gTotal.Value() - 1)
+				break
 			}
 		}
 	}

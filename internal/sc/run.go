@@ -59,6 +59,7 @@ func (s *System) initClosure(c *Config) []outcome {
 // instruction; afterwards any visible instruction outside an atomic
 // section is a quiescent point.
 func (s *System) run(c *Config, p int, atomicDepth int, firstStep bool, events []trace.Event, out *[]outcome, steps int) {
+	env := s.env(c, p)
 	for ; steps < maxLocalSteps; steps++ {
 		pr := s.Prog.Procs[p]
 		in := &pr.Code[c.pcs[p]]
@@ -73,7 +74,6 @@ func (s *System) run(c *Config, p int, atomicDepth int, firstStep bool, events [
 			*out = append(*out, outcome{cfg: c, events: events})
 			return
 		}
-		env := s.env(c, p)
 		switch in.Op {
 		case lang.OpTermProc:
 			*out = append(*out, outcome{cfg: c, events: events})
@@ -152,13 +152,17 @@ func (s *System) run(c *Config, p int, atomicDepth int, firstStep bool, events [
 			// guesses (view-altering read, tracked write, publish) are
 			// the high values, and trying them first reaches weak
 			// behaviours — and therefore bugs — much earlier in the DFS.
+			// c and events are owned by this call and untouched until
+			// the last branch, which takes them over instead of copying.
 			for v := in.Hi; v >= in.Lo; v-- {
-				d := c.clone()
+				d, evs := c, events
+				if v > in.Lo {
+					d, evs = c.clone(), append([]trace.Event(nil), events...)
+				}
 				d.regs[ri] = v
 				d.pcs[p] = next
-				evs := append(append([]trace.Event(nil), events...),
-					trace.Event{Proc: pr.Name, Label: in.Label, Kind: trace.KindLocal,
-						Reg: in.Reg, Val: int64(v), HasVal: true, Choice: true})
+				evs = append(evs, trace.Event{Proc: pr.Name, Label: in.Label, Kind: trace.KindLocal,
+					Reg: in.Reg, Val: int64(v), HasVal: true, Choice: true})
 				s.run(d, p, atomicDepth, false, evs, out, steps+1)
 			}
 			return

@@ -169,7 +169,8 @@ func TestClusterRoutingParity(t *testing.T) {
 			t.Fatalf("%s: %v", tc.Name, err)
 		}
 		if resp.Verdict != want {
-			t.Errorf("%s: verdict %s, want %s", tc.Name, resp.Verdict, want)
+			t.Errorf("%s: verdict %s, want %s (%.1f s, %d states)",
+				tc.Name, resp.Verdict, want, resp.ElapsedSeconds, resp.States)
 		}
 	}
 	var forwards int64
@@ -547,6 +548,71 @@ func TestForwardedRequestNotReforwarded(t *testing.T) {
 	}
 	if st := n1.cl.Stats(); st.Forwards != 0 {
 		t.Errorf("n1 re-forwarded a forwarded request (%d forwards)", st.Forwards)
+	}
+}
+
+// TestForwardCallerGivesUpOwnerStaysUp: a forward cut short by the
+// caller's own context (its deadline, or a client disconnect) says
+// nothing about the owner, which must stay Up; a forward to an owner
+// that refuses connections still marks it Down.
+func TestForwardCallerGivesUpOwnerStaysUp(t *testing.T) {
+	release := make(chan struct{})
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	defer slow.Close()
+	defer close(release)
+	cl, err := cluster.New(cluster.Config{Self: "n1", Peers: []cluster.Peer{
+		{ID: "n1", URL: "http://127.0.0.1:1"}, {ID: "n2", URL: slow.URL},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := cache.New(cache.Config{Version: "v-test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s := New(Config{Cache: c, Workers: 1, Cluster: cl})
+	defer s.Close()
+	req := VerifyRequest{Bench: "dekker", Mode: cache.ModeVBMC, K: 2, Unroll: 2}
+
+	deadlineCtx, cancelDeadline := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancelDeadline()
+	if _, _, err := s.forward(deadlineCtx, "n2", "/v1/verify", req); err == nil {
+		t.Fatal("forward to a stalled owner returned before the caller's deadline")
+	}
+	if st := cl.State("n2"); st != cluster.StateUp {
+		t.Errorf("after the caller's deadline: owner state %v, want up", st)
+	}
+
+	disconnectCtx, disconnect := context.WithCancel(context.Background())
+	time.AfterFunc(100*time.Millisecond, disconnect)
+	if _, _, err := s.forward(disconnectCtx, "n2", "/v1/verify", req); err == nil {
+		t.Fatal("forward to a stalled owner returned before the caller disconnected")
+	}
+	if st := cl.State("n2"); st != cluster.StateUp {
+		t.Errorf("after a caller disconnect: owner state %v, want up", st)
+	}
+
+	// A dead owner (connection refused) with the caller still waiting
+	// is still demoted at once.
+	dead, err := cluster.New(cluster.Config{Self: "n1", Peers: []cluster.Peer{
+		{ID: "n1", URL: "http://127.0.0.1:1"}, {ID: "n2", URL: "http://127.0.0.1:1"},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2 := New(Config{Cache: c, Workers: 1, Cluster: dead})
+	defer s2.Close()
+	if _, _, err := s2.forward(context.Background(), "n2", "/v1/verify", req); err == nil {
+		t.Fatal("forward to a refused port succeeded")
+	}
+	if st := dead.State("n2"); st != cluster.StateDown {
+		t.Errorf("after a refused connection: owner state %v, want down", st)
 	}
 }
 

@@ -77,11 +77,22 @@ func (e *peerUnavailableError) Error() string {
 	return "peer unavailable (HTTP " + strconv.Itoa(e.status) + ")"
 }
 
+// markDownUnlessCancelled demotes the owner after a failed peer call,
+// unless the call failed because its own context ended (the caller's
+// deadline, a client disconnect, the fill budget): giving up on a slow
+// owner says nothing about its health.
+func markDownUnlessCancelled(ctx context.Context, cl *cluster.Cluster, owner string) {
+	if ctx.Err() == nil {
+		cl.MarkDown(owner)
+	}
+}
+
 // forward posts the request to the owner node, honouring its
 // backpressure: 429 is retried with backoff (Retry-After respected, a
 // few attempts), 503 marks the owner draining and returns an error so
 // the caller falls back to local execution, connection failures mark it
-// down ditto. Any other status is the owner's authoritative answer.
+// down ditto (unless ctx itself ended first). Any other status is the
+// owner's authoritative answer.
 func (s *Server) forward(ctx context.Context, owner, path string, req VerifyRequest) (status int, body []byte, err error) {
 	cl := s.cfg.Cluster
 	// The alias binds on the node the client spoke to; the owner minting
@@ -101,13 +112,13 @@ func (s *Server) forward(ctx context.Context, owner, path string, req VerifyRequ
 		hreq.Header.Set(forwardedHeader, cl.Self())
 		resp, err := s.peerHTTP.Do(hreq)
 		if err != nil {
-			cl.MarkDown(owner)
+			markDownUnlessCancelled(ctx, cl, owner)
 			return 0, nil, err
 		}
 		body, rerr := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
 		resp.Body.Close()
 		if rerr != nil {
-			cl.MarkDown(owner)
+			markDownUnlessCancelled(ctx, cl, owner)
 			return 0, nil, rerr
 		}
 		switch {
@@ -218,7 +229,7 @@ func (s *Server) peerCacheGet(ctx context.Context, owner string, d cache.Digest)
 	resp, err := s.peerHTTP.Do(hreq)
 	if err != nil {
 		cl.CountFillMiss()
-		cl.MarkDown(owner)
+		markDownUnlessCancelled(ctx, cl, owner)
 		return cache.Outcome{}, false
 	}
 	defer resp.Body.Close()

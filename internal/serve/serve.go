@@ -276,6 +276,12 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // items, whose backpressure is the batch taking longer. The returned
 // release function gives both back.
 func (s *Server) admitRequest(ctx context.Context, wait bool) (release func(), err error) {
+	// select picks at random among ready cases: without this check a
+	// request whose deadline has already passed would sometimes be
+	// admitted anyway, and run only to time out at once.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if wait {
 		select {
 		case s.admit <- struct{}{}:

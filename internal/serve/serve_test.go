@@ -64,7 +64,8 @@ func TestServeParityLitmus(t *testing.T) {
 				t.Fatalf("%s pass %d: %v", tc.Name, pass, err)
 			}
 			if resp.Verdict != want {
-				t.Errorf("%s pass %d: verdict %s, want %s", tc.Name, pass, resp.Verdict, want)
+				t.Errorf("%s pass %d: verdict %s, want %s (%.1f s, %d states)",
+					tc.Name, pass, resp.Verdict, want, resp.ElapsedSeconds, resp.States)
 			}
 			if pass == 1 && !resp.Cached {
 				t.Errorf("%s: second pass not served from cache", tc.Name)
@@ -316,6 +317,24 @@ func TestServeCancelMidRunReleasesSlot(t *testing.T) {
 	}
 	if resp.Verdict != cache.VerdictSafe {
 		t.Errorf("verdict after cancel = %s", resp.Verdict)
+	}
+}
+
+// TestAdmitRefusesExpiredContext: a request whose deadline has already
+// passed is never admitted, even with free slots — select alone would
+// admit it about half the time.
+func TestAdmitRefusesExpiredContext(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 2})
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	for i := 0; i < 64; i++ {
+		for _, wait := range []bool{false, true} {
+			release, err := s.admitRequest(ctx, wait)
+			if err == nil {
+				release()
+				t.Fatalf("attempt %d (wait=%v): expired request admitted", i, wait)
+			}
+		}
 	}
 }
 
