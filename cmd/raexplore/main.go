@@ -39,7 +39,7 @@ func main() {
 		showTr     = flag.Bool("trace", false, "print the counterexample trace")
 		walks      = flag.Int("walks", 1000, "random mode: number of walks")
 		exactDedup = flag.Bool("exact-dedup", false, "exhaustive mode: exact state keys in the visited set instead of 64-bit fingerprints")
-		swWorkers  = flag.Int("workers", 0, "exhaustive mode: work-stealing workers (0 = serial, negative = all CPUs); the verdict is identical at any width")
+		swWorkers  = flag.Int("workers", 0, "exhaustive mode: work-stealing workers (0 and 1 = one depth-first worker, negative = all CPUs); the verdict is identical at any width")
 		stateDedup = flag.Bool("state-dedup", false, "tracer/cdsc/rcmc modes: prune states already fully explored (stateful DFS with state hashing)")
 		jsonOut    = flag.Bool("json", false, "emit a JSON run report on stdout instead of the summary line")
 		progress   = flag.Bool("progress", false, "print periodic live progress snapshots to stderr")

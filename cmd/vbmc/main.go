@@ -70,7 +70,7 @@ func run() int {
 		emit       = flag.Bool("emit", false, "print the translated SC program instead of checking")
 		autoK      = flag.Int("auto-k", -1, "search for the minimal K up to this bound instead of using -k")
 		jobs       = flag.Int("jobs", 0, "concurrent runs for -auto-k and -portfolio (0 = all CPUs, 1 = serial)")
-		swWorkers  = flag.Int("workers", 0, "work-stealing workers inside each backend search (0 = serial, negative = all CPUs); the verdict is identical at any width")
+		swWorkers  = flag.Int("workers", 0, "work-stealing workers inside each backend search (0 and 1 = one depth-first worker, negative = all CPUs; -reduce searches always use one); the verdict is identical at any width")
 		reduce     = flag.Bool("reduce", false, "source-DPOR reduction in the SC backend: explore only representative interleavings (verdict-neutral; forces an unbounded context bound, falls back to the full search where inapplicable)")
 		tmai       = flag.Bool("tmai", false, "thread-modular pre-pass: if the abstraction proves the program, report SAFE (unbounded, for every K) without searching")
 		portfolio  = flag.Bool("portfolio", false, "run every engine on the program and cross-check the verdicts")
@@ -96,7 +96,7 @@ func run() int {
 	}
 	// An explicitly passed -workers (any value, 0 included) is stamped
 	// into the JSON report's config, so bench sweeps over pool widths
-	// are self-describing — including their serial baseline.
+	// are self-describing — including their one-worker baseline.
 	workersSet := false
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "workers" {

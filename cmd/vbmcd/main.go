@@ -69,7 +69,7 @@ func run() int {
 		defTimeout = flag.Duration("default-timeout", 60*time.Second, "compute deadline for requests that name none")
 		maxTimeout = flag.Duration("max-timeout", 10*time.Minute, "cap on a request's compute deadline")
 		jobs       = flag.Int("jobs", 0, "portfolio pool width (0 = engine default)")
-		searchWkrs = flag.Int("search-workers", 0, "work-stealing workers inside each single search (0 = serial); -workers admission slots each running this many workers occupy their product in CPUs at saturation")
+		searchWkrs = flag.Int("search-workers", 0, "work-stealing workers inside each single search (0 and 1 = one depth-first worker; Reduce searches always use one); -workers admission slots each running this many workers occupy their product in CPUs at saturation")
 		reduce     = flag.Bool("reduce", false, "source-DPOR reduction in every vbmc request's SC backend (verdict-neutral; falls back to the full search where inapplicable)")
 		tmai       = flag.Bool("tmai", false, "thread-modular pre-pass on vbmc requests: programs it proves get an unbounded SAFE that the cache reuses at every K")
 		drainGrace = flag.Duration("drain-grace", 30*time.Second, "how long a shutdown waits for in-flight work before hard-cancelling")

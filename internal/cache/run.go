@@ -26,9 +26,9 @@ type ExecConfig struct {
 	// the single-engine modes run serially inside their worker slot.
 	Jobs int
 	// SearchWorkers is the work-stealing pool width inside a single
-	// search (core.Options.Workers / ra.Options.Workers): 0 keeps the
-	// searches serial, n >= 1 runs each on an n-worker pool, negative
-	// selects runtime.NumCPU. Verdict-neutral, so it stays out of the
+	// search (core.Options.Workers / ra.Options.Workers): 0 and 1 run
+	// one depth-first worker, n > 1 runs n workers, negative selects
+	// runtime.NumCPU. Verdict-neutral, so it stays out of the
 	// cache key like every other ExecConfig knob.
 	SearchWorkers int
 	// Reduce turns on source-DPOR in the vbmc mode's SC backend

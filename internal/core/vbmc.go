@@ -74,10 +74,10 @@ type Options struct {
 	// keys instead of 64-bit fingerprints (see sc.Options.ExactDedup and
 	// internal/fp); for collision-paranoid runs and parity testing.
 	ExactDedup bool
-	// Workers selects intra-query parallel exploration in the SC
-	// backend: 0 keeps every search serial, n >= 1 runs each backend
-	// search on an n-worker work-stealing pool, negative selects
-	// runtime.NumCPU. The verdict is identical either way (see
+	// Workers is the work-stealing pool width of every SC backend
+	// search: 0 and 1 both run one depth-first worker, n > 1 runs n
+	// workers, negative selects runtime.NumCPU. Reduced searches always
+	// run on one worker. The verdict is identical at every width (see
 	// internal/partest); only wall clock changes.
 	Workers int
 	// StealSeed seeds the backend pools' steal-order randomization;

@@ -2,59 +2,58 @@ package fp
 
 import "sync"
 
-// shardCount is the number of shards of a ShardedSet. 256 shards keep
-// the probability of two of even 32 workers colliding on one shard
-// lock below 2% per probe pair, while the per-shard maps stay large
-// enough to amortise map overhead. Must be a power of two: shards are
-// selected by the high bits of the 64-bit fingerprint, so the
-// selection reuses the hash the probe needs anyway and every shard
+// shardBits is the log2 shard count of a ShardedSet probed by more
+// than one worker. 256 shards keep the probability of two of even 32
+// workers colliding on one shard lock below 2% per probe pair, while
+// the per-shard maps stay large enough to amortise map overhead.
+// Shards are selected by the high bits of the 64-bit fingerprint, so
+// the selection reuses the hash the probe needs anyway and every shard
 // receives a uniform slice of the key space.
-const shardCount = 256
+const shardBits = 8
 
-// shardShift extracts the shard index from the top bits of a
-// fingerprint. The low bits keep their full entropy for the in-shard
-// map, so sharding never degrades map bucket distribution.
-const shardShift = 64 - 8
-
-// ShardedSet is the concurrent counterpart of Set: a visited set for
-// budget-bounded searches that many workers probe and update at once.
-// The key space is partitioned into shardCount independent shards by
-// the high bits of the key's 64-bit fingerprint, each shard guarded by
-// its own mutex, so concurrent probes contend only when their states
-// land in the same 1/256th of the fingerprint space.
+// ShardedSet is the concurrent visited set of the search engines: a
+// plain key set that many workers probe and update at once. The key
+// space is partitioned into shards by the high bits of the key's 64-bit
+// fingerprint, each shard guarded by its own mutex, so concurrent
+// probes contend only when their states land in the same shard.
 //
-// Semantics are identical to Set.Visit: first visit wins, a revisit
-// with at least as much budget used is pruned, a revisit with strictly
-// less budget re-explores. Because the outcome of Visit depends only
-// on the key and the budget history of that key — never on which
-// worker asks — the set of "explore" answers over any concurrent
-// schedule equals the serial set's answers when the engines pass a
-// constant budget (the order-independent discipline of the parallel
-// explorers; see DESIGN.md).
+// Unlike Set it has no budget dimension: the engines fold every budget
+// coordinate into the key (the order-independent dedup discipline; see
+// DESIGN.md), so first visit wins and every revisit is pruned. Because
+// the outcome of Visit depends only on the key — never on which worker
+// asks — the set of "explore" answers is the same over any concurrent
+// schedule.
 type ShardedSet struct {
 	exact  bool
-	shards [shardCount]shard
+	shift  uint // fingerprint bits below the shard index
+	shards []shard
 }
 
 // shard is one lock-striped slice of the set. The maps mirror Set's
 // fingerprint/exact modes.
 type shard struct {
 	mu       sync.Mutex
-	fp       map[uint64]int
-	exact    map[string]int
+	fp       map[uint64]struct{}
+	exact    map[string]struct{}
 	keyBytes int64 // exact mode: retained key bytes of this shard
 }
 
-// NewShardedSet returns an empty concurrent visited set; exact selects
-// full-key retention over the default 64-bit fingerprint mode (same
-// trade-off as NewSet).
-func NewShardedSet(exact bool) *ShardedSet {
-	s := &ShardedSet{exact: exact}
+// NewShardedSet returns an empty concurrent visited set for a pool of
+// the given width; exact selects full-key retention over the default
+// 64-bit fingerprint mode (same trade-off as NewSet). A one-worker set
+// has a single shard: nothing contends, and a short search does not pay
+// for 256 maps it never fills.
+func NewShardedSet(exact bool, workers int) *ShardedSet {
+	bits := uint(shardBits)
+	if workers <= 1 {
+		bits = 0
+	}
+	s := &ShardedSet{exact: exact, shift: 64 - bits, shards: make([]shard, 1<<bits)}
 	for i := range s.shards {
 		if exact {
-			s.shards[i].exact = make(map[string]int)
+			s.shards[i].exact = make(map[string]struct{})
 		} else {
-			s.shards[i].fp = make(map[uint64]int)
+			s.shards[i].fp = make(map[uint64]struct{})
 		}
 	}
 	return s
@@ -63,47 +62,34 @@ func NewShardedSet(exact bool) *ShardedSet {
 // Exact reports whether the set retains full keys.
 func (s *ShardedSet) Exact() bool { return s.exact }
 
-// Visit records that the state serialised as key has been reached with
-// the given budget used and reports whether it must be explored (see
-// Set.Visit). Safe for concurrent use; key may reuse a caller-owned
-// buffer (it is copied only on a new exact-mode insert). The probe
-// path is allocation-free in both modes.
-func (s *ShardedSet) Visit(key []byte, budget int) bool {
-	h := Hash64(key)
-	sh := &s.shards[h>>shardShift]
-	sh.mu.Lock()
-	ok := sh.visitLocked(s.exact, h, key, budget)
-	sh.mu.Unlock()
-	return ok
+// Visit records that the state serialised as key has been reached and
+// reports whether it is new (and must be explored). Safe for concurrent
+// use; key may reuse a caller-owned buffer (it is copied only on a new
+// exact-mode insert). The probe path is allocation-free in both modes.
+func (s *ShardedSet) Visit(key []byte) bool {
+	return s.VisitHash(Hash64(key), key)
 }
 
 // VisitHash is Visit for callers that already computed Hash64(key) —
-// the parallel explorers hash once and reuse the fingerprint for both
-// shard selection and violation tie-breaking.
-func (s *ShardedSet) VisitHash(h uint64, key []byte, budget int) bool {
-	sh := &s.shards[h>>shardShift]
+// the engines hash once and reuse the fingerprint for both shard
+// selection and violation tie-breaking.
+func (s *ShardedSet) VisitHash(h uint64, key []byte) bool {
+	// A shift of 64 (one shard) yields index 0.
+	sh := &s.shards[h>>s.shift]
 	sh.mu.Lock()
-	ok := sh.visitLocked(s.exact, h, key, budget)
-	sh.mu.Unlock()
-	return ok
-}
-
-func (sh *shard) visitLocked(exact bool, h uint64, key []byte, budget int) bool {
-	if exact {
-		prev, ok := sh.exact[string(key)]
-		if ok && prev <= budget {
+	defer sh.mu.Unlock()
+	if s.exact {
+		if _, ok := sh.exact[string(key)]; ok {
 			return false
 		}
-		if !ok {
-			sh.keyBytes += int64(len(key))
-		}
-		sh.exact[string(key)] = budget
+		sh.keyBytes += int64(len(key))
+		sh.exact[string(key)] = struct{}{}
 		return true
 	}
-	if prev, ok := sh.fp[h]; ok && prev <= budget {
+	if _, ok := sh.fp[h]; ok {
 		return false
 	}
-	sh.fp[h] = budget
+	sh.fp[h] = struct{}{}
 	return true
 }
 
@@ -116,11 +102,7 @@ func (s *ShardedSet) Len() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		if s.exact {
-			n += len(sh.exact)
-		} else {
-			n += len(sh.fp)
-		}
+		n += len(sh.fp) + len(sh.exact)
 		sh.mu.Unlock()
 	}
 	return n
@@ -136,11 +118,7 @@ func (s *ShardedSet) ApproxBytes() int64 {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		if s.exact {
-			b += sh.keyBytes + int64(len(sh.exact))*exactEntryBytes
-		} else {
-			b += int64(len(sh.fp)) * fpEntryBytes
-		}
+		b += sh.keyBytes + int64(len(sh.exact))*exactEntryBytes + int64(len(sh.fp))*fpEntryBytes
 		sh.mu.Unlock()
 	}
 	return b

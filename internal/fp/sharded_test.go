@@ -9,7 +9,7 @@ import (
 
 // randKeys returns n random keys of varying length from a seeded
 // source, with deliberate duplicates (every fourth key repeats an
-// earlier one) so budget-subsumption paths are exercised.
+// earlier one) so revisit paths are exercised.
 func randKeys(seed int64, n int) [][]byte {
 	rng := rand.New(rand.NewSource(seed))
 	keys := make([][]byte, 0, n)
@@ -25,35 +25,36 @@ func randKeys(seed int64, n int) [][]byte {
 	return keys
 }
 
-// TestShardedSetSerialParity drives the same random (key, budget)
-// sequence through Set and ShardedSet in both modes: every Visit
-// answer, the final Len and the final ApproxBytes must agree — the
-// sharding is pure partitioning, never a semantic change.
+// TestShardedSetSerialParity drives the same random key sequence
+// through Set (at constant budget) and ShardedSet in both modes and at
+// one and many shards: every Visit answer, the final Len and the final
+// ApproxBytes must agree — the sharding is pure partitioning, never a
+// semantic change.
 func TestShardedSetSerialParity(t *testing.T) {
 	for _, exact := range []bool{false, true} {
-		rng := rand.New(rand.NewSource(7))
-		serial := NewSet(exact)
-		sharded := NewShardedSet(exact)
-		for _, k := range randKeys(42, 5000) {
-			b := rng.Intn(4)
-			sv := serial.Visit(k, b)
-			pv := sharded.Visit(k, b)
-			if sv != pv {
-				t.Fatalf("exact=%v: Visit(%x, %d) = %v (sharded) vs %v (serial)", exact, k, b, pv, sv)
+		for _, workers := range []int{1, 8} {
+			serial := NewSet(exact)
+			sharded := NewShardedSet(exact, workers)
+			for _, k := range randKeys(42, 5000) {
+				sv := serial.Visit(k, 0)
+				pv := sharded.Visit(k)
+				if sv != pv {
+					t.Fatalf("exact=%v workers=%d: Visit(%x) = %v (sharded) vs %v (serial)", exact, workers, k, pv, sv)
+				}
 			}
-		}
-		if serial.Len() != sharded.Len() {
-			t.Errorf("exact=%v: Len %d (sharded) vs %d (serial)", exact, sharded.Len(), serial.Len())
-		}
-		if serial.ApproxBytes() != sharded.ApproxBytes() {
-			t.Errorf("exact=%v: ApproxBytes %d (sharded) vs %d (serial)",
-				exact, sharded.ApproxBytes(), serial.ApproxBytes())
+			if serial.Len() != sharded.Len() {
+				t.Errorf("exact=%v workers=%d: Len %d (sharded) vs %d (serial)", exact, workers, sharded.Len(), serial.Len())
+			}
+			if serial.ApproxBytes() != sharded.ApproxBytes() {
+				t.Errorf("exact=%v workers=%d: ApproxBytes %d (sharded) vs %d (serial)",
+					exact, workers, sharded.ApproxBytes(), serial.ApproxBytes())
+			}
 		}
 	}
 }
 
 // TestShardedSetConcurrentInserts has many goroutines hammer one set
-// with overlapping key ranges at constant budget and checks the
+// with overlapping key ranges and checks the
 // linearizable contract of first-wins visiting: every key is claimed
 // by exactly one goroutine (the sum of true answers equals the number
 // of distinct keys), and the final occupancy matches a serial replay.
@@ -63,7 +64,7 @@ func TestShardedSetConcurrentInserts(t *testing.T) {
 			workers = 8
 			keys    = 4096
 		)
-		set := NewShardedSet(exact)
+		set := NewShardedSet(exact, workers)
 		wins := make([]int, workers)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -75,7 +76,7 @@ func TestShardedSetConcurrentInserts(t *testing.T) {
 				for i := 0; i < keys; i++ {
 					k := (i*(2*w+1) + w) % keys
 					binary.LittleEndian.PutUint64(buf[:], uint64(k))
-					if set.Visit(buf[:], 0) {
+					if set.Visit(buf[:]) {
 						wins[w]++
 					}
 				}
@@ -95,32 +96,6 @@ func TestShardedSetConcurrentInserts(t *testing.T) {
 	}
 }
 
-// TestShardedSetBudgetSubsumptionConcurrent checks the budget
-// dimension under concurrency: after workers race visits of one key
-// at different budgets, a revisit at the minimum budget is pruned and
-// one below it re-explores — the recorded minimum is the global one.
-func TestShardedSetBudgetSubsumptionConcurrent(t *testing.T) {
-	set := NewShardedSet(false)
-	key := []byte("the-key")
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for b := 10; b >= 2+w%3; b-- {
-				set.Visit(key, b)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if set.Visit(key, 2) {
-		t.Error("revisit at the recorded minimum budget must be pruned")
-	}
-	if !set.Visit(key, 1) {
-		t.Error("revisit below the recorded minimum must re-explore")
-	}
-}
-
 // TestShardedSetProbeZeroAllocs guards the concurrent probe path like
 // the serial set's test: encoding is the caller's business, but a
 // probe of an existing key must not allocate in either mode.
@@ -129,13 +104,13 @@ func TestShardedSetProbeZeroAllocs(t *testing.T) {
 		t.Skip("allocation guards are meaningless under -race")
 	}
 	for _, exact := range []bool{false, true} {
-		set := NewShardedSet(exact)
+		set := NewShardedSet(exact, 4)
 		key := []byte("zero-alloc-probe-key")
-		set.Visit(key, 0)
+		set.Visit(key)
 		h := Hash64(key)
 		allocs := testing.AllocsPerRun(500, func() {
-			set.Visit(key, 0)
-			set.VisitHash(h, key, 0)
+			set.Visit(key)
+			set.VisitHash(h, key)
 		})
 		if allocs != 0 {
 			t.Errorf("exact=%v: %v allocs per probe, want 0", exact, allocs)
@@ -145,27 +120,26 @@ func TestShardedSetProbeZeroAllocs(t *testing.T) {
 
 // TestShardedSetApproxBytesMonotone checks that ApproxBytes never
 // decreases as keys are inserted (entries are only added), in both
-// modes, including across duplicate visits which must not change the
-// footprint.
+// modes, and that duplicate visits do not change the footprint.
 func TestShardedSetApproxBytesMonotone(t *testing.T) {
 	for _, exact := range []bool{false, true} {
-		set := NewShardedSet(exact)
+		set := NewShardedSet(exact, 4)
 		prev := set.ApproxBytes()
 		if prev != 0 {
 			t.Fatalf("exact=%v: empty set ApproxBytes = %d, want 0", exact, prev)
 		}
 		for i, k := range randKeys(11, 2000) {
-			set.Visit(k, i%3)
+			set.Visit(k)
 			if b := set.ApproxBytes(); b < prev {
 				t.Fatalf("exact=%v: ApproxBytes decreased %d -> %d at key %d", exact, prev, b, i)
 			} else {
 				prev = b
 			}
 		}
-		// Re-visiting everything at the same budgets adds no entries.
+		// Re-visiting everything adds no entries.
 		before := set.ApproxBytes()
-		for i, k := range randKeys(11, 2000) {
-			set.Visit(k, i%3)
+		for _, k := range randKeys(11, 2000) {
+			set.Visit(k)
 		}
 		if after := set.ApproxBytes(); after != before {
 			t.Errorf("exact=%v: duplicate visits changed ApproxBytes %d -> %d", exact, before, after)
@@ -177,12 +151,12 @@ func TestShardedSetApproxBytesMonotone(t *testing.T) {
 // Hash64 of the key, or fingerprint-mode probes through the two entry
 // points would see different sets.
 func TestShardedSetHashAgreement(t *testing.T) {
-	set := NewShardedSet(false)
+	set := NewShardedSet(false, 4)
 	key := []byte("agreement")
-	if !set.VisitHash(Hash64(key), key, 0) {
+	if !set.VisitHash(Hash64(key), key) {
 		t.Fatal("first VisitHash must explore")
 	}
-	if set.Visit(key, 0) {
+	if set.Visit(key) {
 		t.Fatal("Visit after VisitHash of the same key must be pruned")
 	}
 }

@@ -13,7 +13,7 @@ const SearchSchema = "ravbmc.search/v1"
 
 // SearchStats is the live telemetry block of one search: a set of
 // atomics the engines (ra.Explore, sc.Check, smc.Check) update in bulk
-// on their existing deadline-poll cadence (~every 1024 DFS entries), so
+// on a sampled cadence (every 1024 expansions or DFS entries), so
 // the hot path pays a handful of atomic adds per kilostep and nothing
 // per state. Consumers (the Sampler, the vbmcd SSE stream, /metrics)
 // read it with Snapshot at any time without stalling the search.
@@ -33,7 +33,7 @@ type SearchStats struct {
 	dedupHits   atomic.Int64
 	violations  atomic.Int64
 
-	frontier    atomic.Int64 // current DFS stack depth
+	frontier    atomic.Int64 // current frontier size (see SetFrontier)
 	frontierHWM atomic.Int64 // deepest frontier seen
 
 	visitedEntries atomic.Int64 // occupancy of the current visited set
@@ -81,16 +81,19 @@ func (s *SearchStats) AddExecutions(n int64) {
 	s.executions.Add(n)
 }
 
-// SetFrontier records the current DFS stack depth and maintains its
-// high-water mark.
-func (s *SearchStats) SetFrontier(depth int64) {
+// SetFrontier records the current frontier size and maintains its
+// high-water mark. The sc and ra searches, which run on a
+// work-stealing pool at every width, report the pending frontier items
+// (queued plus in-process), not a DFS stack depth; the stateless smc
+// baseline reports its DFS path depth.
+func (s *SearchStats) SetFrontier(n int64) {
 	if s == nil {
 		return
 	}
-	s.frontier.Store(depth)
+	s.frontier.Store(n)
 	for {
 		cur := s.frontierHWM.Load()
-		if depth <= cur || s.frontierHWM.CompareAndSwap(cur, depth) {
+		if n <= cur || s.frontierHWM.CompareAndSwap(cur, n) {
 			return
 		}
 	}

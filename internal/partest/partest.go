@@ -1,14 +1,17 @@
-// Package partest is the serial/parallel differential test harness for
-// the search engines (internal/ra, internal/sc) and the VBMC pipeline
-// (internal/core). It runs the same verification query serially and at
-// several work-stealing pool widths and asserts the results agree:
-// identical verdicts everywhere; in census mode additionally identical
+// Package partest is the pool-width differential test harness for the
+// search engines (internal/ra, internal/sc) and the VBMC pipeline
+// (internal/core). Every engine search runs on a work-stealing pool; the
+// harness runs the same verification query on a one-worker pool (the
+// depth-first reference) and at several wider pool widths and asserts
+// the results agree: identical verdicts everywhere; in census mode, and
+// between two one-worker runs in stop mode, additionally identical
 // state counts, transition counts and byte-identical witnesses (the
 // engines' order-independent dedup discipline and minimal-fingerprint
-// witness tie-break make full census results schedule-invariant — see
-// DESIGN.md). On a mismatch the harness shrinks the program to a
-// 1-minimal failing witness before reporting, so a parity bug arrives
-// as a few-line program instead of a corpus index.
+// witness tie-break make full census results schedule-invariant, and a
+// one-worker pool pops in a fixed depth-first order — see DESIGN.md).
+// On a mismatch the harness shrinks the program to a 1-minimal failing
+// witness before reporting, so a parity bug arrives as a few-line
+// program instead of a corpus index.
 package partest
 
 import (
@@ -26,11 +29,13 @@ import (
 	"ravbmc/internal/litmus"
 	"ravbmc/internal/ra"
 	"ravbmc/internal/sc"
+	"ravbmc/internal/trace"
 )
 
-// Widths returns the parallel pool widths under differential test:
-// 1 (a one-worker pool, the anchor closest to serial), 2, 4, the CPU
-// count, and the RAVBMC_TEST_JOBS override if set — deduplicated. CI
+// Widths returns the pool widths compared against the one-worker
+// reference: 1 (a second one-worker run, which must repeat the
+// reference exactly), 2, 4, the CPU count, and the RAVBMC_TEST_JOBS
+// override if set — deduplicated. CI
 // sets RAVBMC_TEST_JOBS=8 so wide pools are exercised even on
 // single-core runners.
 func Widths() []int {
@@ -104,62 +109,79 @@ func Benchmarks(names ...string) []Case {
 	return cs
 }
 
-// RADiff explores prog serially and with a workers-wide pool and
-// returns a description of the first disagreement, or "" when the
-// results match. In census mode (StopOnViolation=false) everything is
-// compared, witness bytes included; in stop mode only the verdict and
-// witness presence are (which violation a stopped parallel search
-// reports is schedule-dependent by design).
+// RADiff explores prog on a one-worker pool and on a workers-wide pool
+// and returns a description of the first disagreement, or "" when the
+// results match. In census mode (StopOnViolation=false), and in stop
+// mode when workers is 1, everything is compared, witness bytes
+// included; in stop mode on a wider pool only the verdict and witness
+// presence are (which violation a stopped multi-worker search reports
+// is schedule-dependent by design).
 func RADiff(prog *lang.Program, opts ra.Options, workers int, seed int64) string {
 	cp, err := lang.Compile(prog)
 	if err != nil {
 		return "" // a shrink candidate left the RA fragment; not a parity issue
 	}
 	sys := ra.NewSystem(cp)
-	sopts := opts
-	sopts.Workers = 0
-	ser := sys.Explore(sopts)
-	popts := opts
-	popts.Workers = workers
-	popts.StealSeed = seed
-	par := sys.Explore(popts)
-	if ser.TimedOut || par.TimedOut {
-		return fmt.Sprintf("timed out (serial=%v parallel=%v): parity unverifiable", ser.TimedOut, par.TimedOut)
+	refOpts := opts
+	refOpts.Workers = 1
+	ref := sys.Explore(refOpts)
+	gopts := opts
+	gopts.Workers = workers
+	gopts.StealSeed = seed
+	got := sys.Explore(gopts)
+	if ref.TimedOut || got.TimedOut {
+		return fmt.Sprintf("timed out (width 1=%v wide=%v): parity unverifiable", ref.TimedOut, got.TimedOut)
 	}
-	if ser.Violation != par.Violation {
-		return fmt.Sprintf("workers=%d seed=%d: Violation %v (serial) vs %v (parallel)", workers, seed, ser.Violation, par.Violation)
+	if ref.Violation != got.Violation {
+		return fmt.Sprintf("workers=%d seed=%d: Violation %v (width 1) vs %v", workers, seed, ref.Violation, got.Violation)
 	}
-	if ser.TargetReached != par.TargetReached {
-		return fmt.Sprintf("workers=%d seed=%d: TargetReached %v vs %v", workers, seed, ser.TargetReached, par.TargetReached)
+	if ref.TargetReached != got.TargetReached {
+		return fmt.Sprintf("workers=%d seed=%d: TargetReached %v vs %v", workers, seed, ref.TargetReached, got.TargetReached)
 	}
-	if ser.Violation && (ser.Trace == nil) != (par.Trace == nil) {
-		return fmt.Sprintf("workers=%d seed=%d: witness presence %v vs %v", workers, seed, ser.Trace != nil, par.Trace != nil)
+	if ref.Violation && (ref.Trace == nil) != (got.Trace == nil) {
+		return fmt.Sprintf("workers=%d seed=%d: witness presence %v vs %v", workers, seed, ref.Trace != nil, got.Trace != nil)
 	}
-	if opts.StopOnViolation {
+	if opts.StopOnViolation && workers > 1 {
 		return ""
 	}
-	if ser.States != par.States || ser.Transitions != par.Transitions {
-		return fmt.Sprintf("workers=%d seed=%d: states/transitions %d/%d (serial) vs %d/%d (parallel)",
-			workers, seed, ser.States, ser.Transitions, par.States, par.Transitions)
+	if ref.PeakMessages != got.PeakMessages {
+		return fmt.Sprintf("workers=%d seed=%d: PeakMessages %d vs %d", workers, seed, ref.PeakMessages, got.PeakMessages)
 	}
-	if ser.Violations != par.Violations {
-		return fmt.Sprintf("workers=%d seed=%d: Violations %d vs %d", workers, seed, ser.Violations, par.Violations)
+	return diffCounts(workers, seed,
+		counts{ref.States, ref.Transitions, ref.Violations, ref.Exhausted, ref.Trace},
+		counts{got.States, got.Transitions, got.Violations, got.Exhausted, got.Trace})
+}
+
+// counts is the schedule-invariant part of a search result: counts,
+// coverage and witness.
+type counts struct {
+	states, transitions, violations int
+	exhausted                       bool
+	trace                           *trace.Trace
+}
+
+// diffCounts compares the counts of a one-worker reference (a) and a
+// workers-wide run (b), witness bytes included.
+func diffCounts(workers int, seed int64, a, b counts) string {
+	if a.states != b.states || a.transitions != b.transitions {
+		return fmt.Sprintf("workers=%d seed=%d: states/transitions %d/%d (width 1) vs %d/%d",
+			workers, seed, a.states, a.transitions, b.states, b.transitions)
 	}
-	if ser.Exhausted != par.Exhausted {
-		return fmt.Sprintf("workers=%d seed=%d: Exhausted %v vs %v", workers, seed, ser.Exhausted, par.Exhausted)
+	if a.violations != b.violations {
+		return fmt.Sprintf("workers=%d seed=%d: Violations %d vs %d", workers, seed, a.violations, b.violations)
 	}
-	if ser.PeakMessages != par.PeakMessages {
-		return fmt.Sprintf("workers=%d seed=%d: PeakMessages %d vs %d", workers, seed, ser.PeakMessages, par.PeakMessages)
+	if a.exhausted != b.exhausted {
+		return fmt.Sprintf("workers=%d seed=%d: Exhausted %v vs %v", workers, seed, a.exhausted, b.exhausted)
 	}
-	st, pt := "<none>", "<none>"
-	if ser.Trace != nil {
-		st = ser.Trace.String()
+	at, bt := "<none>", "<none>"
+	if a.trace != nil {
+		at = a.trace.String()
 	}
-	if par.Trace != nil {
-		pt = par.Trace.String()
+	if b.trace != nil {
+		bt = b.trace.String()
 	}
-	if st != pt {
-		return fmt.Sprintf("workers=%d seed=%d: witness differs\nserial:\n%s\nparallel:\n%s", workers, seed, st, pt)
+	if at != bt {
+		return fmt.Sprintf("workers=%d seed=%d: witness differs\nwidth 1:\n%s\nwidth %d:\n%s", workers, seed, at, workers, bt)
 	}
 	return ""
 }
@@ -172,83 +194,65 @@ func SCDiff(prog *lang.Program, opts sc.Options, workers int, seed int64) string
 		return ""
 	}
 	sys := sc.NewSystem(cp)
-	sopts := opts
-	sopts.Workers = 0
-	ser := sys.Check(sopts)
-	popts := opts
-	popts.Workers = workers
-	popts.StealSeed = seed
-	par := sys.Check(popts)
-	if ser.TimedOut || par.TimedOut {
-		return fmt.Sprintf("timed out (serial=%v parallel=%v): parity unverifiable", ser.TimedOut, par.TimedOut)
+	refOpts := opts
+	refOpts.Workers = 1
+	ref := sys.Check(refOpts)
+	gopts := opts
+	gopts.Workers = workers
+	gopts.StealSeed = seed
+	got := sys.Check(gopts)
+	if ref.TimedOut || got.TimedOut {
+		return fmt.Sprintf("timed out (width 1=%v wide=%v): parity unverifiable", ref.TimedOut, got.TimedOut)
 	}
-	if ser.Violation != par.Violation {
-		return fmt.Sprintf("workers=%d seed=%d: Violation %v (serial) vs %v (parallel)", workers, seed, ser.Violation, par.Violation)
+	if ref.Violation != got.Violation {
+		return fmt.Sprintf("workers=%d seed=%d: Violation %v (width 1) vs %v", workers, seed, ref.Violation, got.Violation)
 	}
-	if ser.TargetReached != par.TargetReached {
-		return fmt.Sprintf("workers=%d seed=%d: TargetReached %v vs %v", workers, seed, ser.TargetReached, par.TargetReached)
+	if ref.TargetReached != got.TargetReached {
+		return fmt.Sprintf("workers=%d seed=%d: TargetReached %v vs %v", workers, seed, ref.TargetReached, got.TargetReached)
 	}
-	if ser.Violation && (ser.Trace == nil) != (par.Trace == nil) {
-		return fmt.Sprintf("workers=%d seed=%d: witness presence %v vs %v", workers, seed, ser.Trace != nil, par.Trace != nil)
+	if ref.Violation && (ref.Trace == nil) != (got.Trace == nil) {
+		return fmt.Sprintf("workers=%d seed=%d: witness presence %v vs %v", workers, seed, ref.Trace != nil, got.Trace != nil)
 	}
-	if !opts.CensusViolations {
+	if !opts.CensusViolations && workers > 1 {
 		return ""
 	}
-	if ser.States != par.States || ser.Transitions != par.Transitions {
-		return fmt.Sprintf("workers=%d seed=%d: states/transitions %d/%d (serial) vs %d/%d (parallel)",
-			workers, seed, ser.States, ser.Transitions, par.States, par.Transitions)
-	}
-	if ser.Violations != par.Violations {
-		return fmt.Sprintf("workers=%d seed=%d: Violations %d vs %d", workers, seed, ser.Violations, par.Violations)
-	}
-	if ser.Exhausted != par.Exhausted {
-		return fmt.Sprintf("workers=%d seed=%d: Exhausted %v vs %v", workers, seed, ser.Exhausted, par.Exhausted)
-	}
-	st, pt := "<none>", "<none>"
-	if ser.Trace != nil {
-		st = ser.Trace.String()
-	}
-	if par.Trace != nil {
-		pt = par.Trace.String()
-	}
-	if st != pt {
-		return fmt.Sprintf("workers=%d seed=%d: witness differs\nserial:\n%s\nparallel:\n%s", workers, seed, st, pt)
-	}
-	return ""
+	return diffCounts(workers, seed,
+		counts{ref.States, ref.Transitions, ref.Violations, ref.Exhausted, ref.Trace},
+		counts{got.States, got.Transitions, got.Violations, got.Exhausted, got.Trace})
 }
 
-// CoreDiff runs the full VBMC pipeline serially and with parallel
-// inner searches and compares the verdict (core's restart ladder and
+// CoreDiff runs the full VBMC pipeline with one-worker and with
+// workers-wide inner searches and compares the verdict (core's restart ladder and
 // probe tiers make intermediate counts inherently budget-dependent, so
 // the contract at this layer is verdict equality plus a validated
 // witness).
 func CoreDiff(prog *lang.Program, opts core.Options, workers int, seed int64) string {
-	sopts := opts
-	sopts.Workers = 0
-	ser, err := core.Run(prog, sopts)
+	refOpts := opts
+	refOpts.Workers = 1
+	ref, err := core.Run(prog, refOpts)
 	if err != nil {
 		return ""
 	}
-	popts := opts
-	popts.Workers = workers
-	popts.StealSeed = seed
-	par, perr := core.Run(prog, popts)
+	gopts := opts
+	gopts.Workers = workers
+	gopts.StealSeed = seed
+	got, perr := core.Run(prog, gopts)
 	if perr != nil {
-		return fmt.Sprintf("workers=%d: parallel run failed: %v", workers, perr)
+		return fmt.Sprintf("workers=%d: run failed: %v", workers, perr)
 	}
-	if ser.Verdict != par.Verdict {
-		return fmt.Sprintf("workers=%d seed=%d: verdict %v (serial) vs %v (parallel)", workers, seed, ser.Verdict, par.Verdict)
+	if ref.Verdict != got.Verdict {
+		return fmt.Sprintf("workers=%d seed=%d: verdict %v (width 1) vs %v", workers, seed, ref.Verdict, got.Verdict)
 	}
-	if par.Verdict == core.Unsafe && !par.WitnessValidated {
-		return fmt.Sprintf("workers=%d seed=%d: parallel witness failed validation: %s", workers, seed, par.WitnessErr)
+	if got.Verdict == core.Unsafe && !got.WitnessValidated {
+		return fmt.Sprintf("workers=%d seed=%d: witness failed validation: %s", workers, seed, got.WitnessErr)
 	}
 	return ""
 }
 
 // SCReduceDiff checks the source-DPOR reduction against the unreduced
-// search, both serial and both at an unbounded context bound (the
-// reduction's own precondition). The contract mirrors the serial/
-// parallel one: identical Violation and Exhausted, a witness whenever
+// search, both on one worker and both at an unbounded context bound
+// (the reduction's own precondition). The contract mirrors the
+// pool-width one: identical Violation and Exhausted, a witness whenever
 // the search stops on one, and — since the reduced search explores a
 // representative subset — a state count never above the unreduced run's.
 func SCReduceDiff(prog *lang.Program, opts sc.Options) string {
@@ -260,12 +264,12 @@ func SCReduceDiff(prog *lang.Program, opts sc.Options) string {
 	fopts := opts
 	fopts.Reduce = false
 	fopts.MaxContexts = 0
-	fopts.Workers = 0
+	fopts.Workers = 1
 	full := sys.Check(fopts)
 	ropts := opts
 	ropts.Reduce = true
 	ropts.MaxContexts = 0
-	ropts.Workers = 0
+	ropts.Workers = 1
 	red := sys.Check(ropts)
 	if full.TimedOut || red.TimedOut {
 		return fmt.Sprintf("timed out (full=%v reduced=%v): parity unverifiable", full.TimedOut, red.TimedOut)
@@ -394,10 +398,10 @@ func Check(t Reporter, c Case, diff Diff) {
 		return
 	}
 	min := lang.Shrink(c.Prog, func(q *lang.Program) bool { return diff(q) != "" })
-	t.Errorf("%s: serial/parallel mismatch: %s\nminimal failing program:\n%s", c.Name, d, min)
+	t.Errorf("%s: mismatch: %s\nminimal failing program:\n%s", c.Name, d, min)
 }
 
-// Soak drives one parallel exploration of prog while cancelling the
+// Soak drives one multi-worker exploration of prog while cancelling the
 // context and expiring the deadline mid-run, for the -race soak: the
 // assertions are only that the run returns within budget and reports
 // TimedOut sanely; the race detector does the real checking.

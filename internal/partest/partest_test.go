@@ -34,10 +34,9 @@ func TestWidths(t *testing.T) {
 
 // TestClassicParityRA sweeps the classic litmus corpus through the RA
 // explorer in census mode under several option shapes — unbounded,
-// view-bounded, view+context-bounded, exact dedup — asserting the
-// parallel pool reproduces the serial run bit-for-bit at every width:
-// verdict, state count, transition count, violation census, and
-// witness bytes.
+// view-bounded, view+context-bounded, exact dedup — asserting every
+// pool width reproduces the one-worker run bit-for-bit: verdict, state
+// count, transition count, violation census, and witness bytes.
 func TestClassicParityRA(t *testing.T) {
 	variants := []struct {
 		name string
@@ -84,9 +83,10 @@ func TestClassicParitySC(t *testing.T) {
 }
 
 // TestStopModeVerdictParity covers the first-violation-wins mode:
-// which violation a parallel race reports is schedule-dependent by
-// design, but the verdict (and witness presence) must still agree
-// with serial at every width.
+// which violation a multi-worker race reports is schedule-dependent by
+// design, but the verdict (and witness presence) must still agree with
+// the one-worker run at every width, and two one-worker runs must agree
+// exactly — counts and witness bytes.
 func TestStopModeVerdictParity(t *testing.T) {
 	for _, c := range Classics() {
 		Check(t, c, RAAllWidths(ra.Options{ViewBound: -1, StopOnViolation: true}, 0))
@@ -132,7 +132,8 @@ func TestBenchmarkParity(t *testing.T) {
 }
 
 // TestStealSeedFuzz perturbs the pool's steal-victim order across
-// seeds: the census must be identical to serial under every schedule,
+// seeds: the census must be identical to the one-worker run under
+// every schedule,
 // which is exactly the order-independence claim of the dedup
 // discipline and the minimal-fingerprint witness rule.
 func TestStealSeedFuzz(t *testing.T) {
@@ -152,7 +153,7 @@ func TestStealSeedFuzz(t *testing.T) {
 
 // TestCorePipelineParity checks the full VBMC pipeline (probes,
 // restart ladder, deepening, witness lift/replay) reaches the same
-// verdict with parallel inner searches, and that parallel Unsafe
+// verdict with multi-worker inner searches, and that their Unsafe
 // verdicts still carry a replay-validated witness.
 func TestCorePipelineParity(t *testing.T) {
 	cases := []struct {
@@ -191,7 +192,7 @@ func TestCorePipelineParity(t *testing.T) {
 	}
 }
 
-// TestRaceSoak drives parallel explorations of a three-process
+// TestRaceSoak drives multi-worker explorations of a three-process
 // Peterson instance while cancelling the context mid-run and, in a
 // second round, letting a short deadline expire mid-steal. The
 // functional assertions are deliberately weak (the run returns

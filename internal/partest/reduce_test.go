@@ -106,10 +106,10 @@ func TestCoreReduceParity(t *testing.T) {
 	}
 }
 
-// TestReduceWithWorkersParity: Reduce composed with Workers races the
-// reduced serial search against the unreduced parallel one inside
-// sc.Check; whichever side wins, the verdict must match the plain
-// serial baseline.
+// TestReduceWithWorkersParity: a reduced search runs on one worker
+// whatever Workers says, so Reduce with a 4-wide pool must equal Reduce
+// at width 1 exactly — counts and witness bytes, in stop and census
+// modes — and match the unreduced verdict.
 func TestReduceWithWorkersParity(t *testing.T) {
 	for _, c := range append(Classics()[:6], Benchmarks("peterson_0(2)")...) {
 		cp, err := compileCase(c)
@@ -117,14 +117,17 @@ func TestReduceWithWorkersParity(t *testing.T) {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
 		sys := sc.NewSystem(cp)
-		base := sys.Check(sc.Options{})
-		for _, w := range []int{2, 4} {
-			got := sys.Check(sc.Options{Reduce: true, Workers: w})
-			if got.Violation != base.Violation {
-				t.Errorf("%s workers=%d: raced Violation %v vs %v", c.Name, w, got.Violation, base.Violation)
+		for _, census := range []bool{false, true} {
+			base := sys.Check(sc.Options{CensusViolations: census})
+			one := sys.Check(sc.Options{Reduce: true, CensusViolations: census})
+			got := sys.Check(sc.Options{Reduce: true, CensusViolations: census, Workers: 4})
+			if one.Violation != base.Violation {
+				t.Errorf("%s census=%v: reduced Violation %v vs unreduced %v", c.Name, census, one.Violation, base.Violation)
 			}
-			if got.Violation && got.Trace == nil {
-				t.Errorf("%s workers=%d: raced violation without witness", c.Name, w)
+			if d := diffCounts(4, 0,
+				counts{one.States, one.Transitions, one.Violations, one.Exhausted, one.Trace},
+				counts{got.States, got.Transitions, got.Violations, got.Exhausted, got.Trace}); d != "" {
+				t.Errorf("%s census=%v: reduce: %s", c.Name, census, d)
 			}
 		}
 	}

@@ -347,7 +347,7 @@ func appendCtxSuffix(buf []byte, last, contexts int) []byte {
 // Under a view bound the explorers key each state by the exact number
 // of switches used, so the visited set's answers — and with them the
 // state and transition counts — depend only on the annotated state
-// graph, never on the order the search walks it (the serial/parallel
+// graph, never on the order the search walks it (the pool-width
 // parity discipline; see DESIGN.md). The suffix reuses the keyCtx
 // marker: which suffixes are present is fixed per run by the Options,
 // so the encoding stays injective within a run.

@@ -2,10 +2,15 @@ package ra
 
 import (
 	"context"
+	"errors"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"ravbmc/internal/fp"
 	"ravbmc/internal/obs"
+	"ravbmc/internal/sched"
 	"ravbmc/internal/trace"
 )
 
@@ -32,26 +37,26 @@ type Options struct {
 	// still set, Result.Violations counts every violating transition
 	// encountered, Result.Trace witnesses the violation with the
 	// minimal fingerprint (a deterministic tie-break independent of
-	// search order, so serial and parallel censuses agree byte for
-	// byte), and Exhausted reports full coverage as usual — use this
+	// search order, so censuses agree byte for byte at every pool
+	// width), and Exhausted reports full coverage as usual — use this
 	// mode to census a program's bugs rather than stop at the first.
 	StopOnViolation bool
-	// Workers selects intra-query parallel exploration: 0 runs the
-	// serial explorer, n >= 1 runs n workers over a work-stealing
-	// frontier with a sharded visited set (1 is a one-worker pool — the
-	// differential harness's anchor), and a negative value uses all
-	// CPUs.
+	// Workers is the width of the work-stealing pool the exploration
+	// runs on, over a sharded visited set: 0 and 1 both mean one
+	// depth-first worker (the differential harness's reference), n > 1
+	// that many workers, and a negative value all CPUs.
 	// Verdicts are identical at every width; in census mode
 	// (StopOnViolation=false) state counts, transition counts and the
 	// witness are identical too (see DESIGN.md on the parity
-	// discipline). A stopped search (first violation or target) returns
-	// a valid witness, but which one — and the partial counts — depend
-	// on the schedule.
+	// discipline). A one-worker search is deterministic in stop mode as
+	// well. A stopped search (first violation or target) on a wider
+	// pool returns a valid witness, but which one — and the partial
+	// counts — depend on the schedule.
 	Workers int
-	// StealSeed seeds the work-stealing victim order of the parallel
-	// explorer. Any value is fine (0 included); the partest fuzz mode
-	// varies it to perturb steal schedules while asserting identical
-	// results. Ignored by the serial explorer.
+	// StealSeed seeds the work-stealing victim order of the pool. Any
+	// value is fine (0 included); the partest fuzz mode varies it to
+	// perturb steal schedules while asserting identical results. A
+	// one-worker pool never steals, so it ignores the seed.
 	StealSeed int64
 	// ContextBound limits the number of contexts (maximal blocks of
 	// steps by one process); 0 or negative means unbounded. Used to
@@ -117,27 +122,153 @@ type Result struct {
 }
 
 // Explore runs a depth-first search over the RA transition system with
-// state dedup. Under a view bound, states are keyed by (configuration,
-// switches used) — see appendSwitchSuffix — so the reached node set is
-// a property of the annotated state graph alone and serial and parallel
-// explorations agree exactly. The DFS itself runs on an explicit
-// heap-allocated stack, so deep MaxSteps runs (looping programs) cannot
-// overflow the goroutine stack. With Options.Workers > 1 the frontier
-// is partitioned across a work-stealing pool instead (see parallel.go).
+// state dedup, on a work-stealing pool of Options.Workers workers.
+// Under a view bound, states are keyed by (configuration, switches
+// used) — see appendSwitchSuffix — so the reached node set is a
+// property of the annotated state graph alone and every pool width
+// agrees exactly. Each expansion pushes its children in reverse, so a
+// one-worker pool pops them in scan order and its stopped searches are
+// deterministic too. The frontier lives in the pool's heap-allocated
+// deques, so deep MaxSteps runs (looping programs) cannot overflow the
+// goroutine stack.
 func (s *System) Explore(opts Options) Result {
 	span := opts.Obs.StartPhase("ra.explore")
 	span.SetAttrInt("view_bound", int64(opts.ViewBound))
 	defer span.End()
-	if w := resolveWorkers(opts.Workers); w >= 1 {
-		span.SetAttrInt("workers", int64(w))
-		return s.exploreParallel(opts, w)
+	workers := resolveWorkers(opts.Workers)
+	span.SetAttrInt("workers", int64(workers))
+	return s.newExplorer(opts, workers).run()
+}
+
+// flushStride is how many expansions pass between telemetry flushes.
+// The step counter (unlike the visited-state count, which stalls once
+// dedup saturates) advances on every expansion. Cancellation needs no
+// stride: the pool polls the context before every pop.
+const flushStride = 1024
+
+// errStopSearch is returned by a worker's expand to halt the whole pool
+// on a terminal condition: first violation under StopOnViolation, the
+// target configuration, or the MaxStates cap.
+var errStopSearch = errors.New("ra: search stopped")
+
+// testExpandHook, when non-nil, runs at the top of every expansion. The
+// worker-panic regression test injects a crash here to prove a dying
+// worker surfaces as a panic on the caller, not a hang.
+var testExpandHook func(worker, depth int)
+
+// resolveWorkers maps Options.Workers to a pool width: 0 and 1 select
+// one worker, n > 1 exactly n workers, negative all CPUs.
+func resolveWorkers(w int) int {
+	if w < 0 {
+		return runtime.NumCPU()
+	}
+	return max(w, 1)
+}
+
+// pathNode is one link of a frontier item's path to a state. Workers
+// interleave unrelated subtrees, so each item carries an immutable
+// parent chain, shared structurally between siblings.
+type pathNode struct {
+	parent *pathNode
+	event  trace.Event
+}
+
+// toTrace materialises the chain root-first, appending extra events
+// (the violating transition itself, which never becomes a frontier
+// item). Safe on a nil chain (a violation right out of the root).
+func (n *pathNode) toTrace(extra ...trace.Event) *trace.Trace {
+	depth := 0
+	for m := n; m != nil; m = m.parent {
+		depth++
+	}
+	events := make([]trace.Event, depth+len(extra))
+	i := depth
+	for m := n; m != nil; m = m.parent {
+		i--
+		events[i] = m.event
+	}
+	copy(events[depth:], extra)
+	return &trace.Trace{Events: events}
+}
+
+// pitem is one frontier item: a configuration plus the search
+// coordinates it is entered with. last is the process that moved last
+// (-1 initially) and contexts the number of scheduling blocks so far;
+// both are only keyed under a context bound.
+type pitem struct {
+	cfg      *Config
+	path     *pathNode
+	depth    int
+	last     int
+	contexts int
+	switches int
+}
+
+// explorer is the shared state of one exploration. Counters are atomics
+// the workers update directly; the terminal artifacts (stop-mode trace,
+// target flag, census minimum) go under stopMu.
+type explorer struct {
+	sys     *System
+	opts    Options
+	workers int
+	visited *fp.ShardedSet
+	capture bool // per-run view snapshotting
+
+	states       atomic.Int64
+	transitions  atomic.Int64
+	violations   atomic.Int64
+	revisits     atomic.Int64
+	steps        atomic.Int64
+	peakMessages atomic.Int64
+	incomplete   atomic.Bool // MaxSteps or MaxStates cut a branch
+
+	stopMu        sync.Mutex
+	stopTrace     *trace.Trace
+	targetReached bool
+	// bestVFP is the smallest violation fingerprint of the census, the
+	// schedule-independent witness tie-break; bestTrace is its path,
+	// kept only by a one-worker pool, whose paths are fixed (a wider
+	// pool regenerates it, see regenWitness). directed/stopAtVFP turn
+	// the census into that regeneration run.
+	bestVFP   uint64
+	bestTrace *trace.Trace
+	directed  bool
+	stopAtVFP uint64
+
+	// Per-worker reusable scratch: bufs keeps encode+probe
+	// allocation-free per worker, and kids collects an expansion's
+	// children before they are pushed in reverse.
+	bufs [][]byte
+	kids [][]pitem
+
+	cStates, cTransitions, cRevisits *obs.Counter
+	cBranchPoints, cBranchChoices    *obs.Counter
+	gMaxDepth, gPeakMessages         *obs.Gauge
+
+	stats   *obs.SearchStats // live telemetry; nil when Obs is nil
+	flushMu sync.Mutex
+	mark    flushMark // totals as of the last stats flush
+}
+
+// flushMark remembers the totals already pushed into the SearchStats
+// block, so each flush adds only the delta since the previous one.
+type flushMark struct {
+	states, transitions, probes, hits, violations int
+}
+
+func (s *System) newExplorer(opts Options, workers int) *explorer {
+	if opts.MaxSteps == 0 {
+		opts.MaxSteps = 1 << 20
 	}
 	e := &explorer{
 		sys:     s,
 		opts:    opts,
-		visited: fp.NewSet(opts.ExactDedup),
+		workers: workers,
+		visited: fp.NewShardedSet(opts.ExactDedup, workers),
 		capture: opts.CaptureViews || s.CaptureViews,
 		bestVFP: ^uint64(0),
+		bufs:    make([][]byte, workers),
+		kids:    make([][]pitem, workers),
 	}
 	e.cStates = opts.Obs.Counter("ra.states")
 	e.cTransitions = opts.Obs.Counter("ra.transitions")
@@ -147,231 +278,148 @@ func (s *System) Explore(opts Options) Result {
 	e.gMaxDepth = opts.Obs.Gauge("ra.max_depth")
 	e.gPeakMessages = opts.Obs.Gauge("ra.peak_messages")
 	e.stats = opts.Obs.Search()
+	return e
+}
+
+// run drives the pool from the initial configuration. The dedup
+// discipline (expand) makes the explored node set schedule-invariant,
+// so in census mode every width reproduces the same
+// States/Transitions/Violations and witness. Stopped searches
+// (violation under StopOnViolation, target) wider than one worker
+// report whichever worker won, with a valid witness reconstructed from
+// its path chain.
+func (e *explorer) run() Result {
 	// The final flush lands the run's totals in the stats block, so the
 	// last telemetry sample matches the Result exactly.
-	defer e.flushStats(0)
-	if e.opts.MaxSteps == 0 {
-		e.opts.MaxSteps = 1 << 20
+	defer e.finalFlush()
+	ctx := e.opts.Ctx
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	e.exhausted = true
-	// Fold the wall-clock deadline into the cancellation context; the
-	// search polls only ctx.Err() from here on.
-	if !opts.Deadline.IsZero() {
-		base := opts.Ctx
-		if base == nil {
-			base = context.Background()
-		}
+	if !e.opts.Deadline.IsZero() {
 		var cancel context.CancelFunc
-		e.ctx, cancel = context.WithDeadline(base, opts.Deadline)
+		ctx, cancel = context.WithDeadline(ctx, e.opts.Deadline)
 		defer cancel()
-	} else if opts.Ctx != nil {
-		e.ctx = opts.Ctx
 	}
 	// An already-expired context aborts before the first state, so
 	// callers handing out tiny time slices get them honoured.
-	if e.ctx != nil && e.ctx.Err() != nil {
-		e.result.TimedOut = true
-		return e.result
+	if ctx.Err() != nil {
+		return Result{TimedOut: true}
 	}
-	e.search(s.Init())
-	e.result.Exhausted = e.exhausted && !e.result.TargetReached &&
-		!(e.result.Violation && e.opts.StopOnViolation)
-	return e.result
-}
 
-// deadlineStride is how many DFS entries pass between cancellation
-// polls. The step counter (unlike the visited-state count, which stalls
-// once dedup saturates) advances on every entry, so the check always
-// fires.
-const deadlineStride = 1024
-
-type explorer struct {
-	sys       *System
-	opts      Options
-	ctx       context.Context // nil when the search has no deadline/cancel scope
-	visited   *fp.Set         // suffixed state key, constant budget (see expand)
-	keyBuf    []byte          // reused dedup-key buffer
-	capture   bool            // per-run view snapshotting
-	path      []trace.Event
-	steps     int // DFS entries, for cancellation sampling
-	revisits  int // dedup hits, for telemetry flushes
-	result    Result
-	exhausted bool
-
-	// bestVFP is the smallest violation fingerprint seen so far in
-	// census mode; its trace is the deterministic witness.
-	bestVFP uint64
-	// directed, when set, turns the census into a witness regeneration
-	// run: the search stops with the trace of the violation whose
-	// fingerprint equals stopAtVFP (the parallel census finds the
-	// minimal fingerprint concurrently, then replays serially for the
-	// canonical path; see exploreParallel).
-	directed  bool
-	stopAtVFP uint64
-
-	cStates, cTransitions, cRevisits *obs.Counter
-	cBranchPoints, cBranchChoices    *obs.Counter
-	gMaxDepth, gPeakMessages         *obs.Gauge
-
-	stats *obs.SearchStats // live telemetry; nil when Obs is nil
-	mark  flushMark        // totals as of the last stats flush
-}
-
-// flushMark remembers the totals already pushed into the SearchStats
-// block, so each flush adds only the delta since the previous one.
-type flushMark struct {
-	states, transitions, probes, hits, violations int
-}
-
-// flushStats pushes the since-last-flush deltas into the live telemetry
-// block, plus the current frontier depth and visited-set occupancy. It
-// runs on the deadline-poll cadence (every deadlineStride DFS entries)
-// and once at search end, never per state.
-func (e *explorer) flushStats(depth int) {
-	if e.stats == nil {
-		return
+	root := []pitem{{cfg: e.sys.Init(), last: -1}}
+	err := sched.NewSteal[pitem](e.workers, e.opts.StealSeed).Run(ctx, root, e.expand)
+	var pe *sched.PanicError
+	if errors.As(err, &pe) {
+		// A worker panic is a broken invariant, not a verdict: re-raise
+		// it on the caller.
+		panic(pe)
 	}
-	e.stats.Add(
-		int64(e.result.States-e.mark.states),
-		int64(e.result.Transitions-e.mark.transitions),
-		int64(e.steps-e.mark.probes),
-		int64(e.revisits-e.mark.hits),
-		int64(e.result.Violations-e.mark.violations),
-	)
-	e.mark = flushMark{
-		states:      e.result.States,
-		transitions: e.result.Transitions,
-		probes:      e.steps,
-		hits:        e.revisits,
-		violations:  e.result.Violations,
+
+	// Every worker has joined: the shared state is read without locks.
+	res := Result{
+		States:        int(e.states.Load()),
+		Transitions:   int(e.transitions.Load()),
+		Violations:    int(e.violations.Load()),
+		PeakMessages:  int(e.peakMessages.Load()),
+		TargetReached: e.targetReached,
+		Trace:         e.stopTrace,
 	}
-	e.stats.SetFrontier(int64(depth))
-	e.stats.SetVisited(int64(e.visited.Len()), e.visited.ApproxBytes())
-}
-
-// child is one accepted transition out of an expanded state: the
-// successor configuration plus the search coordinates it is entered
-// with. Violating and view-bound-filtered transitions never become
-// children — they are handled during expansion.
-type child struct {
-	cfg      *Config
-	event    trace.Event
-	proc     int // the process that moved
-	switches int // view switches used after this transition
-	contexts int // contexts used after this transition
-}
-
-// frame is one explicit-stack DFS frame: the children of a state being
-// iterated, the depth of that state, and the path length to restore
-// when the frame is popped.
-type frame struct {
-	kids    []child
-	idx     int
-	depth   int
-	pathLen int
-}
-
-// search drives the DFS from the root on an explicit stack. Frames
-// mirror what the previous recursive formulation kept in goroutine
-// stack frames (the successor slice and loop index), so the memory
-// footprint is unchanged while the depth is bounded only by the heap.
-func (e *explorer) search(root *Config) {
-	kids, done := e.expand(root, 0, 0, -1, 0)
-	if done || len(kids) == 0 {
-		return
+	res.Violation = res.Violations > 0
+	if err != nil && !errors.Is(err, errStopSearch) {
+		res.TimedOut = true
 	}
-	stack := make([]frame, 0, 64)
-	stack = append(stack, frame{kids: kids})
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.idx == len(f.kids) {
-			e.path = e.path[:f.pathLen]
-			stack = stack[:len(stack)-1]
-			continue
+	res.Exhausted = !e.incomplete.Load() && !res.TimedOut &&
+		!res.TargetReached && !(res.Violation && e.opts.StopOnViolation)
+	if res.Violation && !e.opts.StopOnViolation && !e.directed && !res.TargetReached && !res.TimedOut {
+		res.Trace = e.bestTrace
+		if e.workers > 1 {
+			res.Trace = e.sys.regenWitness(e.opts, e.bestVFP)
 		}
-		k := f.kids[f.idx]
-		f.idx++
-		base := len(e.path)
-		e.path = append(e.path, k.event)
-		kids, done := e.expand(k.cfg, k.switches, f.depth+1, k.proc, k.contexts)
-		if done {
-			return
-		}
-		if len(kids) == 0 {
-			e.path = e.path[:base]
-			continue
-		}
-		// f is invalid after this append (the stack may move).
-		stack = append(stack, frame{kids: kids, depth: f.depth + 1, pathLen: base})
 	}
+	return res
 }
 
-// expand visits one state: dedup, counters, caps and target checks,
-// then the scan over its transitions. It returns the accepted children
-// (nil when the state is pruned or a leaf) and whether the whole search
-// is done (violation under StopOnViolation, target found, state cap or
-// deadline hit). last is the process that moved last (-1 initially) and
-// contexts the number of scheduling blocks so far; both are only
-// tracked under a context bound.
-func (e *explorer) expand(c *Config, switches, depth, last, contexts int) ([]child, bool) {
-	e.steps++
-	if e.steps%deadlineStride == 0 {
-		e.flushStats(depth)
-		if e.ctx != nil && e.ctx.Err() != nil {
-			e.exhausted = false
-			e.result.TimedOut = true
-			return nil, true
-		}
+// regenWitness reruns the census on a one-worker pool in directed mode,
+// stopping at the violation whose fingerprint a wider census selected.
+// The replay shares the dedup discipline, so it walks the same node set
+// and must encounter the fingerprint; its path is the canonical witness
+// the one-worker census records. Observability and budgets are
+// stripped: the replay must neither double-count telemetry nor be cut
+// short of the known violation.
+func (s *System) regenWitness(opts Options, vfp uint64) *trace.Trace {
+	opts.Obs = nil
+	opts.Ctx = nil
+	opts.Deadline = time.Time{}
+	opts.MaxStates = 0
+	e := s.newExplorer(opts, 1)
+	e.directed, e.stopAtVFP = true, vfp
+	return e.run().Trace
+}
+
+// expand visits one frontier item: dedup, counters, caps and target
+// checks, then the scan over its transitions, whose accepted children
+// are pushed in reverse scan order.
+func (e *explorer) expand(ctx context.Context, w int, it pitem, push func(pitem), f sched.Frontier) error {
+	if hook := testExpandHook; hook != nil {
+		hook(w, it.depth)
+	}
+	if e.steps.Add(1)%flushStride == 0 {
+		e.flush(f)
 	}
 	// Order-independent dedup: every active budget coordinate is folded
-	// into the key and the budget argument is constant, so whether a
-	// node is explored depends only on the node — never on which path
-	// or worker reached it first. Serial and parallel explorations
-	// therefore expand the same node set (the parity discipline).
-	e.keyBuf = e.sys.AppendDedupKey(c, e.keyBuf[:0])
+	// into the key, so whether a node is explored depends only on the
+	// node — never on which path or worker reached it first. Every pool
+	// width therefore expands the same node set (the parity discipline).
+	buf := e.sys.AppendDedupKey(it.cfg, e.bufs[w][:0])
 	if e.opts.ContextBound > 0 {
-		e.keyBuf = appendCtxSuffix(e.keyBuf, last, contexts)
+		buf = appendCtxSuffix(buf, it.last, it.contexts)
 	}
 	if e.opts.ViewBound >= 0 {
-		e.keyBuf = appendSwitchSuffix(e.keyBuf, switches)
+		buf = appendSwitchSuffix(buf, it.switches)
 	}
-	h := fp.Hash64(e.keyBuf)
-	if !e.visited.VisitHash(h, e.keyBuf, 0) {
-		e.revisits++
+	e.bufs[w] = buf
+	h := fp.Hash64(buf)
+	if !e.visited.VisitHash(h, buf) {
+		e.revisits.Add(1)
 		e.cRevisits.Inc()
-		return nil, false
+		return nil
 	}
-	e.result.States++
+	states := e.states.Add(1)
 	e.cStates.Inc()
-	e.gMaxDepth.SetMax(int64(depth))
-	if n := c.MsgCount(); n > e.result.PeakMessages {
-		e.result.PeakMessages = n
-		e.gPeakMessages.SetMax(int64(n))
+	e.gMaxDepth.SetMax(int64(it.depth))
+	if n := int64(it.cfg.MsgCount()); n > e.peakMessages.Load() {
+		storeMax(&e.peakMessages, n)
+		e.gPeakMessages.SetMax(n)
 	}
-	if e.opts.MaxStates > 0 && e.result.States >= e.opts.MaxStates {
-		e.exhausted = false
-		return nil, true
+	if e.opts.MaxStates > 0 && states >= int64(e.opts.MaxStates) {
+		e.incomplete.Store(true)
+		return errStopSearch
 	}
-	if e.targetReached(c) {
-		e.result.TargetReached = true
-		e.result.Trace = &trace.Trace{Events: append([]trace.Event(nil), e.path...)}
-		return nil, true
+	if e.sys.targetAt(it.cfg, e.opts.TargetLabels) {
+		e.stopMu.Lock()
+		if !e.targetReached {
+			e.targetReached = true
+			e.stopTrace = it.path.toTrace()
+		}
+		e.stopMu.Unlock()
+		return errStopSearch
 	}
-	if depth >= e.opts.MaxSteps {
-		e.exhausted = false
-		return nil, false
+	if it.depth >= e.opts.MaxSteps {
+		e.incomplete.Store(true)
+		return nil
 	}
-	var kids []child
+	kids := e.kids[w][:0]
 	ord := 0 // transition ordinal within this node, for MixOrdinal
-	for p := 0; p < e.sys.NumProcs(); p++ {
-		nc := contexts
-		if p != last {
+	for proc := 0; proc < e.sys.NumProcs(); proc++ {
+		nc := it.contexts
+		if proc != it.last {
 			nc++
 			if e.opts.ContextBound > 0 && nc > e.opts.ContextBound {
 				continue
 			}
 		}
-		succs := e.sys.successors(c, p, e.capture)
+		succs := e.sys.successors(it.cfg, proc, e.capture)
 		// A process with several successors is at a read with several
 		// coherent messages (or a nondet): a read-choice branch point.
 		if len(succs) > 1 {
@@ -381,50 +429,121 @@ func (e *explorer) expand(c *Config, switches, depth, last, contexts int) ([]chi
 		for _, succ := range succs {
 			vord := ord
 			ord++
-			e.result.Transitions++
+			e.transitions.Add(1)
 			e.cTransitions.Inc()
 			if succ.Violation {
-				e.result.Violation = true
-				e.result.Violations++
-				vfp := fp.MixOrdinal(h, vord)
-				switch {
-				case e.directed:
-					if vfp == e.stopAtVFP {
-						e.result.Trace = &trace.Trace{Events: append(append([]trace.Event(nil), e.path...), succ.Event)}
-						return nil, true
-					}
-				case e.opts.StopOnViolation:
-					if e.result.Trace == nil {
-						e.result.Trace = &trace.Trace{Events: append(append([]trace.Event(nil), e.path...), succ.Event)}
-					}
-					return nil, true
-				case e.result.Trace == nil || vfp < e.bestVFP:
-					// Census witness: keep the minimal-fingerprint
-					// violation, the schedule-independent tie-break.
-					e.bestVFP = vfp
-					e.result.Trace = &trace.Trace{Events: append(append([]trace.Event(nil), e.path...), succ.Event)}
+				if err := e.violation(fp.MixOrdinal(h, vord), it.path, succ.Event); err != nil {
+					return err
 				}
 				continue
 			}
-			if succ.ViewSwitch && e.opts.ViewBound >= 0 && switches >= e.opts.ViewBound {
+			if succ.ViewSwitch && e.opts.ViewBound >= 0 && it.switches >= e.opts.ViewBound {
 				continue
 			}
-			ns := switches
+			ns := it.switches
 			if succ.ViewSwitch {
 				ns++
 			}
-			kids = append(kids, child{cfg: succ.Config, event: succ.Event, proc: p, switches: ns, contexts: nc})
+			kids = append(kids, pitem{
+				cfg:      succ.Config,
+				path:     &pathNode{parent: it.path, event: succ.Event},
+				depth:    it.depth + 1,
+				last:     proc,
+				contexts: nc,
+				switches: ns,
+			})
 		}
 	}
-	return kids, false
+	// Reverse, so the owner's LIFO pops the children in scan order.
+	for i := len(kids) - 1; i >= 0; i-- {
+		push(kids[i])
+	}
+	clear(kids)
+	e.kids[w] = kids[:0]
+	return nil
 }
 
-func (e *explorer) targetReached(c *Config) bool {
-	return e.sys.targetAt(c, e.opts.TargetLabels)
+// violation records one violating transition with fingerprint vfp out
+// of the state at path; a non-nil error stops the search.
+func (e *explorer) violation(vfp uint64, path *pathNode, ev trace.Event) error {
+	e.violations.Add(1)
+	e.stopMu.Lock()
+	defer e.stopMu.Unlock()
+	switch {
+	case e.directed:
+		if vfp != e.stopAtVFP {
+			return nil
+		}
+	case !e.opts.StopOnViolation:
+		// Census witness: the minimal fingerprint wins, a tie-break any
+		// worker can apply locally.
+		if vfp < e.bestVFP {
+			e.bestVFP = vfp
+			if e.workers == 1 {
+				e.bestTrace = path.toTrace(ev)
+			}
+		}
+		return nil
+	}
+	if e.stopTrace == nil {
+		e.stopTrace = path.toTrace(ev)
+	}
+	return errStopSearch
+}
+
+// flush pushes since-last-flush deltas into the live telemetry block,
+// plus the pending frontier and visited-set occupancy. The mark lives
+// under flushMu so concurrent flushes never double-count a delta:
+// totals in the sampled series only ever grow.
+func (e *explorer) flush(f sched.Frontier) {
+	if e.stats == nil {
+		return
+	}
+	e.flushMu.Lock()
+	cur := flushMark{
+		states:      int(e.states.Load()),
+		transitions: int(e.transitions.Load()),
+		probes:      int(e.steps.Load()),
+		hits:        int(e.revisits.Load()),
+		violations:  int(e.violations.Load()),
+	}
+	e.stats.Add(
+		int64(cur.states-e.mark.states),
+		int64(cur.transitions-e.mark.transitions),
+		int64(cur.probes-e.mark.probes),
+		int64(cur.hits-e.mark.hits),
+		int64(cur.violations-e.mark.violations),
+	)
+	e.mark = cur
+	e.flushMu.Unlock()
+	if f != nil {
+		e.stats.SetFrontier(f.Pending())
+	}
+	e.stats.SetVisited(int64(e.visited.Len()), e.visited.ApproxBytes())
+}
+
+// finalFlush lands the run's totals after the pool has drained, so the
+// last telemetry sample matches the Result exactly.
+func (e *explorer) finalFlush() {
+	if e.stats == nil {
+		return
+	}
+	e.flush(nil)
+	e.stats.SetFrontier(0)
+}
+
+// storeMax raises a to v if v is larger (lock-free running maximum).
+func storeMax(a *atomic.Int64, v int64) {
+	for {
+		cur := a.Load()
+		if v <= cur || a.CompareAndSwap(cur, v) {
+			return
+		}
+	}
 }
 
 // targetAt reports whether every process listed in targets is at its
-// label in c; shared by the serial and parallel explorers.
+// label in c.
 func (s *System) targetAt(c *Config, targets map[string]string) bool {
 	if len(targets) == 0 {
 		return false

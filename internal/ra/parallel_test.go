@@ -29,12 +29,12 @@ func mpParallel() *lang.Program {
 // a *sched.PanicError panic on the Explore caller — never a hang on
 // the pool's termination barrier.
 func TestParallelWorkerPanicSurfaces(t *testing.T) {
-	testParallelExpandHook = func(worker, depth int) {
+	testExpandHook = func(worker, depth int) {
 		if depth >= 1 {
 			panic("injected worker failure")
 		}
 	}
-	defer func() { testParallelExpandHook = nil }()
+	defer func() { testExpandHook = nil }()
 
 	sys := NewSystem(lang.MustCompile(mpParallel()))
 	done := make(chan any, 1)
@@ -62,8 +62,8 @@ func TestParallelWorkerPanicSurfaces(t *testing.T) {
 
 // TestParallelCensusMatchesSerialInPackage is a package-local parity
 // smoke test (the full corpus sweep lives in internal/partest): the
-// parallel census of MP must equal the serial one field for field,
-// witness bytes included.
+// census of MP on a wider pool must equal the default one-worker census
+// field for field, witness bytes included.
 func TestParallelCensusMatchesSerialInPackage(t *testing.T) {
 	sys := NewSystem(lang.MustCompile(mpParallel()))
 	ser := sys.Explore(Options{ViewBound: -1})
@@ -72,7 +72,7 @@ func TestParallelCensusMatchesSerialInPackage(t *testing.T) {
 		if ser.Violation != par.Violation || ser.Violations != par.Violations ||
 			ser.States != par.States || ser.Transitions != par.Transitions ||
 			ser.Exhausted != par.Exhausted {
-			t.Errorf("workers=%d: serial %+v vs parallel %+v", w, ser, par)
+			t.Errorf("workers=%d: width 1 %+v vs %+v", w, ser, par)
 		}
 		st, pt := "", ""
 		if ser.Trace != nil {
@@ -82,7 +82,7 @@ func TestParallelCensusMatchesSerialInPackage(t *testing.T) {
 			pt = par.Trace.String()
 		}
 		if st != pt {
-			t.Errorf("workers=%d: witness differs\nserial:\n%s\nparallel:\n%s", w, st, pt)
+			t.Errorf("workers=%d: witness differs\nwidth 1:\n%s\nwide:\n%s", w, st, pt)
 		}
 	}
 }

@@ -2,11 +2,17 @@ package sc
 
 import (
 	"context"
+	"errors"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"ravbmc/internal/fp"
 	"ravbmc/internal/lang"
 	"ravbmc/internal/obs"
+	"ravbmc/internal/sched"
 	"ravbmc/internal/trace"
 )
 
@@ -47,7 +53,7 @@ type Options struct {
 	// fingerprint (init-closure violations, scanned in their
 	// deterministic order, take priority), and Exhausted reports full
 	// coverage. Census results are schedule-invariant, which is what the
-	// serial/parallel parity harness asserts.
+	// pool-width parity harness (internal/partest) asserts.
 	CensusViolations bool
 	// Reduce enables partial-order reduction: at each state only a
 	// persistent set of processes is scheduled, pruned further by sleep
@@ -61,15 +67,17 @@ type Options struct {
 	// always runs with an unbounded context bound: MaxContexts is
 	// forced to 0, which only ever adds behaviours, so SAFE+Exhausted
 	// remains conclusive for any bound and UNSAFE witnesses are real.
-	// With Workers >= 1 a reduced serial search races the unreduced
-	// parallel one (first conclusive result wins), trading the
-	// deterministic-counts contract for wall-clock.
+	// A reduced search always runs on one worker, whatever Workers
+	// says: its sleep-set bookkeeping depends on visit order, and a
+	// one-worker pool fixes that order, so counts and witness are the
+	// same at every Workers value.
 	Reduce bool
-	// Workers selects intra-query parallel checking: 0 serial, n >= 1
-	// that many work-stealing workers, negative all CPUs. See
-	// ra.Options.Workers for the determinism contract.
+	// Workers is the width of the work-stealing pool every search runs
+	// on: 0 and 1 both mean one depth-first worker, n > 1 that many
+	// workers, negative all CPUs. See ra.Options.Workers for the
+	// determinism contract.
 	Workers int
-	// StealSeed seeds the parallel checker's steal-order RNG; see
+	// StealSeed seeds the pool's steal-order RNG; see
 	// ra.Options.StealSeed.
 	StealSeed int64
 	// Obs, when non-nil, receives the search counters ("sc.states",
@@ -100,134 +108,136 @@ type Result struct {
 	TimedOut bool
 }
 
-// deadlineStride is how many DFS entries pass between cancellation
-// polls: checking the context on every entry is measurable, so it is
-// sampled. The step counter (unlike the visited-state count) advances
-// on every entry including dedup hits, so the check fires even when
-// the search stops discovering new states.
-const deadlineStride = 1024
+// flushStride is how many expansions pass between telemetry flushes:
+// flushing on every expansion is measurable, so it is sampled. The
+// step counter (unlike the visited-state count) advances on every
+// expansion including dedup hits. Cancellation needs no stride: the
+// pool polls the context before every pop.
+const flushStride = 1024
+
+// errStopSearch halts the pool on a terminal condition: first violation
+// (stop mode), the target configuration, or the MaxStates cap.
+var errStopSearch = errors.New("sc: search stopped")
+
+// testExpandHook mirrors ra's hook: the worker-panic regression test
+// injects a crash at the top of an expansion.
+var testExpandHook func(worker, depth int)
+
+// resolveWorkers maps Options.Workers to a pool width: 0 and 1 select
+// one worker, n > 1 exactly n workers, negative all CPUs.
+func resolveWorkers(w int) int {
+	if w < 0 {
+		return runtime.NumCPU()
+	}
+	return max(w, 1)
+}
 
 // Check explores the SC transition system of the program at macro-step
-// granularity under the context bound. The DFS runs on an explicit
-// heap-allocated stack, so restart-ladder rounds with deep macro-step
-// paths cannot overflow the goroutine stack.
+// granularity under the context bound, on a work-stealing pool of
+// Options.Workers workers. Each expansion pushes its children in
+// reverse, so a one-worker pool pops them in scan order: a depth-first
+// search whose states, counts and witnesses are fixed by the program
+// and options alone. The frontier lives in the pool's heap-allocated
+// deques, so restart-ladder rounds with deep macro-step paths cannot
+// overflow the goroutine stack.
 func (s *System) Check(opts Options) Result {
 	span := opts.Obs.StartPhase("sc.check")
 	span.SetAttrInt("max_contexts", int64(opts.MaxContexts))
 	defer span.End()
+	workers := resolveWorkers(opts.Workers)
 	if opts.Reduce {
 		if len(opts.TargetLabels) > 0 || !s.ReduceApplies() {
 			opts.Reduce = false
 		} else {
 			opts.MaxContexts = 0
+			workers = 1
 		}
 	}
-	if w := resolveWorkers(opts.Workers); w >= 1 {
-		span.SetAttrInt("workers", int64(w))
-		if opts.Reduce {
-			return s.raceReduced(opts, w)
-		}
-		return s.checkParallel(opts, w)
-	}
-	e := &scChecker{sys: s, opts: opts, visited: fp.NewSet(opts.ExactDedup), bestVFP: ^uint64(0)}
-	if opts.Reduce {
-		if opts.ExactDedup {
-			e.rmEx = make(map[string]uint64)
-		} else {
-			e.rm = make(map[uint64]uint64)
-		}
-	}
-	e.cStates = opts.Obs.Counter("sc.states")
-	e.cTransitions = opts.Obs.Counter("sc.transitions")
-	e.cDedupHits = opts.Obs.Counter("sc.dedup_hits")
-	e.cDedupMisses = opts.Obs.Counter("sc.dedup_misses")
-	e.cMacroSteps = opts.Obs.Counter("sc.macro_steps")
-	e.gMaxDepth = opts.Obs.Gauge("sc.max_depth")
-	e.gMaxContexts = opts.Obs.Gauge("sc.max_contexts_used")
-	e.stats = opts.Obs.Search()
-	// The final flush lands the run's totals in the stats block, so the
-	// last telemetry sample matches the Result exactly. Stats accumulate
-	// across restart-ladder rounds like the counters do.
-	defer e.flushStats(0)
-	e.exhausted = true
-	// Fold the wall-clock deadline into the cancellation context; the
-	// search polls only ctx.Err() from here on.
-	if !opts.Deadline.IsZero() {
-		base := opts.Ctx
-		if base == nil {
-			base = context.Background()
-		}
-		var cancel context.CancelFunc
-		e.ctx, cancel = context.WithDeadline(base, opts.Deadline)
-		defer cancel()
-	} else if opts.Ctx != nil {
-		e.ctx = opts.Ctx
-	}
-	// A context that is already expired aborts before the first state:
-	// restart-ladder rounds scheduled after an expired budget must not
-	// burn a deadlineStride of search each.
-	if e.ctx != nil && e.ctx.Err() != nil {
-		e.result.TimedOut = true
-		e.result.Exhausted = false
-		return e.result
-	}
-	for _, oc := range s.initClosure(s.Init()) {
-		if oc.violation {
-			e.result.Violation = true
-			e.result.Violations++
-			// Init-closure violations are scanned in a deterministic
-			// order, so "the first one" is a schedule-invariant witness;
-			// it outranks any search violation under the census.
-			if e.result.Trace == nil {
-				e.result.Trace = &trace.Trace{Events: oc.events}
-				e.initWitness = true
-			}
-			if !e.opts.CensusViolations {
-				break
-			}
-			continue
-		}
-		e.path = append(e.path[:0], oc.events...)
-		if e.search(oc.cfg) {
-			break
-		}
-	}
-	e.result.Exhausted = e.exhausted && !e.result.TargetReached &&
-		!(e.result.Violation && !e.opts.CensusViolations)
-	return e.result
+	span.SetAttrInt("workers", int64(workers))
+	return s.newChecker(opts, workers).run()
 }
 
-type scChecker struct {
-	sys       *System
-	opts      Options
-	ctx       context.Context // nil when the search has no deadline/cancel scope
-	visited   *fp.Set         // state key -> min contexts used
-	path      []trace.Event
-	keyBuf    []byte
-	deadBuf   []int // reused dead-register scratch for dedupKey
-	steps     int   // DFS entries, for cancellation sampling
-	dedupHits int   // visited-set hits, for telemetry flushes
-	result    Result
-	exhausted bool
+// scPathNode is one link of a frontier item's path to a state; each
+// link holds the events of one macro-step (several trace events).
+// Chains are immutable and shared structurally between siblings.
+type scPathNode struct {
+	parent *scPathNode
+	events []trace.Event
+}
 
-	// bestVFP is the smallest violation fingerprint seen so far by the
-	// census; initWitness pins the trace to an init-closure violation,
-	// which outranks any search violation. directed/stopAtVFP turn the
-	// census into the parallel checker's witness-regeneration replay
-	// (see ra.regenWitness for the pattern).
-	bestVFP     uint64
-	initWitness bool
-	directed    bool
-	stopAtVFP   uint64
+// toTrace materialises the chain root-first, appending extra events
+// (the violating macro-step's, which never becomes a frontier item).
+func (n *scPathNode) toTrace(extra []trace.Event) *trace.Trace {
+	total := len(extra)
+	for m := n; m != nil; m = m.parent {
+		total += len(m.events)
+	}
+	events := make([]trace.Event, total)
+	i := total - len(extra)
+	copy(events[i:], extra)
+	for m := n; m != nil; m = m.parent {
+		i -= len(m.events)
+		copy(events[i:i+len(m.events)], m.events)
+	}
+	return &trace.Trace{Events: events}
+}
 
-	// Reduced-search state (Options.Reduce): the visited maps store the
-	// first-visit sleep mask per state (fingerprint or exact keyed),
-	// psQueue/orderBuf/execFoot are reusable scratch. See reduce.go.
+// scItem is one frontier item: a configuration plus the search
+// coordinates it is entered with.
+type scItem struct {
+	cfg      *Config
+	path     *scPathNode
+	depth    int
+	contexts int
+	// sleep is the item's inherited sleep mask (reduced search only).
+	sleep uint64
+}
+
+// checker is the shared state of one Check. Counters are atomics the
+// workers update directly; the terminal artifacts (stop-mode trace,
+// target flag, census minimum) go under stopMu.
+type checker struct {
+	sys     *System
+	opts    Options
+	workers int
+	visited *fp.ShardedSet
+
+	states      atomic.Int64
+	transitions atomic.Int64
+	violations  atomic.Int64
+	dedupHits   atomic.Int64
+	steps       atomic.Int64
+	incomplete  atomic.Bool
+
+	stopMu        sync.Mutex
+	stopTrace     *trace.Trace
+	targetReached bool
+	// bestVFP is the smallest violation fingerprint of the census, the
+	// schedule-independent witness tie-break; bestTrace is its path,
+	// kept only by a one-worker pool, whose paths are fixed (a wider
+	// pool regenerates it, see regenWitness). directed/stopAtVFP turn
+	// the census into that regeneration run.
+	bestVFP   uint64
+	bestTrace *trace.Trace
+	directed  bool
+	stopAtVFP uint64
+
+	// Per-worker reusable scratch: the zero-alloc encode+probe
+	// guarantee holds per worker, and kids collects an expansion's
+	// children before they are pushed in reverse.
+	bufs   [][]byte
+	deads  [][]int
+	orders [][]int
+	kids   [][]scItem
+
+	// Reduced-search state (Options.Reduce, always one worker): the
+	// visited maps store the first-visit sleep mask per state
+	// (fingerprint or exact keyed), psQueue/execFoot are reusable
+	// scratch. See reduce.go.
 	rm         map[uint64]uint64
 	rmEx       map[string]uint64
 	rmKeyBytes int64
 	psQueue    []int
-	orderBuf   []int
 	execFoot   locFoot
 
 	cStates, cTransitions    *obs.Counter
@@ -235,8 +245,9 @@ type scChecker struct {
 	cMacroSteps              *obs.Counter
 	gMaxDepth, gMaxContexts  *obs.Gauge
 
-	stats *obs.SearchStats // live telemetry; nil when Obs is nil
-	mark  flushMark        // totals as of the last stats flush
+	stats   *obs.SearchStats // live telemetry; nil when Obs is nil
+	flushMu sync.Mutex
+	mark    flushMark // totals as of the last stats flush
 }
 
 // flushMark remembers the totals already pushed into the SearchStats
@@ -245,218 +256,348 @@ type flushMark struct {
 	states, transitions, probes, hits, violations int
 }
 
-// flushStats pushes the since-last-flush deltas into the live telemetry
-// block, plus the current frontier depth and visited-set occupancy. It
-// runs on the deadline-poll cadence and once at search end, never per
-// state.
-func (e *scChecker) flushStats(depth int) {
-	if e.stats == nil {
-		return
+func (s *System) newChecker(opts Options, workers int) *checker {
+	c := &checker{
+		sys:     s,
+		opts:    opts,
+		workers: workers,
+		bestVFP: ^uint64(0),
+		bufs:    make([][]byte, workers),
+		deads:   make([][]int, workers),
+		orders:  make([][]int, workers),
+		kids:    make([][]scItem, workers),
 	}
-	violations := e.result.Violations
-	e.stats.Add(
-		int64(e.result.States-e.mark.states),
-		int64(e.result.Transitions-e.mark.transitions),
-		int64(e.steps-e.mark.probes),
-		int64(e.dedupHits-e.mark.hits),
-		int64(violations-e.mark.violations),
-	)
-	e.mark = flushMark{
-		states:      e.result.States,
-		transitions: e.result.Transitions,
-		probes:      e.steps,
-		hits:        e.dedupHits,
-		violations:  violations,
+	switch {
+	case !opts.Reduce:
+		c.visited = fp.NewShardedSet(opts.ExactDedup, workers)
+	case opts.ExactDedup:
+		c.rmEx = make(map[string]uint64)
+	default:
+		c.rm = make(map[uint64]uint64)
 	}
-	e.stats.SetFrontier(int64(depth))
-	if e.opts.Reduce {
-		n, b := e.reducedVisited()
-		e.stats.SetVisited(int64(n), b)
-	} else {
-		e.stats.SetVisited(int64(e.visited.Len()), e.visited.ApproxBytes())
-	}
+	c.cStates = opts.Obs.Counter("sc.states")
+	c.cTransitions = opts.Obs.Counter("sc.transitions")
+	c.cDedupHits = opts.Obs.Counter("sc.dedup_hits")
+	c.cDedupMisses = opts.Obs.Counter("sc.dedup_misses")
+	c.cMacroSteps = opts.Obs.Counter("sc.macro_steps")
+	c.gMaxDepth = opts.Obs.Gauge("sc.max_depth")
+	c.gMaxContexts = opts.Obs.Gauge("sc.max_contexts_used")
+	c.stats = opts.Obs.Search()
+	return c
 }
 
-// scChild is one accepted macro-step out of an expanded state: the
-// successor configuration, the events of the macro-step, and the
-// context count it is entered with. Violating macro-steps stop the
-// search during expansion and never become children.
-type scChild struct {
-	cfg      *Config
-	events   []trace.Event
-	contexts int
-	// sleep is the child's inherited sleep mask (reduced search only).
-	sleep uint64
-}
-
-// scFrame is one explicit-stack DFS frame.
-type scFrame struct {
-	kids    []scChild
-	idx     int
-	depth   int
-	pathLen int
-}
-
-// search drives the DFS from one initial-closure state on an explicit
-// stack; it returns true when the search should stop (violation/target
-// found, state cap hit, or deadline expired).
-func (e *scChecker) search(root *Config) bool {
-	kids, done := e.expandAny(root, 0, 0, 0)
-	if done {
-		return true
+// run scans the initial closure, then drives the pool from its
+// non-violating states. The dedup discipline makes the explored node
+// set schedule-invariant, so under CensusViolations every width
+// reproduces the same States/Transitions/Violations and witness;
+// stop-mode searches wider than one worker report whichever worker won.
+func (c *checker) run() Result {
+	// The final flush lands the run's totals in the stats block, so the
+	// last telemetry sample matches the Result exactly. Stats accumulate
+	// across restart-ladder rounds like the counters do.
+	defer c.finalFlush()
+	ctx := c.opts.Ctx
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	if len(kids) == 0 {
-		return false
+	if !c.opts.Deadline.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, c.opts.Deadline)
+		defer cancel()
 	}
-	stack := make([]scFrame, 0, 64)
-	stack = append(stack, scFrame{kids: kids, pathLen: len(e.path)})
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.idx == len(f.kids) {
-			e.path = e.path[:f.pathLen]
-			stack = stack[:len(stack)-1]
+	// A context that is already expired aborts before the first state:
+	// restart-ladder rounds scheduled after an expired budget must not
+	// search at all.
+	if ctx.Err() != nil {
+		return Result{TimedOut: true}
+	}
+
+	// The initial closure is scanned in its deterministic order before
+	// any worker starts: its violations are counted (and, in stop mode,
+	// terminal), and the first one is a schedule-invariant witness that
+	// outranks any search violation under the census.
+	var res Result
+	var roots []scItem
+	initWitness := false
+	for _, oc := range c.sys.initClosure(c.sys.Init()) {
+		if oc.violation {
+			res.Violation = true
+			res.Violations++
+			if res.Trace == nil {
+				res.Trace = &trace.Trace{Events: oc.events}
+				initWitness = true
+			}
+			if !c.opts.CensusViolations {
+				return res
+			}
 			continue
 		}
-		k := f.kids[f.idx]
-		f.idx++
-		base := len(e.path)
-		e.path = append(e.path, k.events...)
-		kids, done := e.expandAny(k.cfg, k.contexts, f.depth+1, k.sleep)
-		if done {
-			return true
-		}
-		if len(kids) == 0 {
-			e.path = e.path[:base]
-			continue
-		}
-		// f is invalid after this append (the stack may move).
-		stack = append(stack, scFrame{kids: kids, depth: f.depth + 1, pathLen: base})
+		roots = append(roots, scItem{cfg: oc.cfg, path: &scPathNode{events: oc.events}})
 	}
-	return false
+	slices.Reverse(roots)
+
+	err := sched.NewSteal[scItem](c.workers, c.opts.StealSeed).Run(ctx, roots, c.expand)
+	var pe *sched.PanicError
+	if errors.As(err, &pe) {
+		// A worker panic is a broken invariant, not a verdict: re-raise
+		// it on the caller.
+		panic(pe)
+	}
+
+	// Every worker has joined: the shared state is read without locks.
+	res.States = int(c.states.Load())
+	res.Transitions = int(c.transitions.Load())
+	res.Violations += int(c.violations.Load())
+	res.Violation = res.Violations > 0
+	res.TargetReached = c.targetReached
+	if res.Trace == nil {
+		res.Trace = c.stopTrace
+	}
+	if err != nil && !errors.Is(err, errStopSearch) {
+		res.TimedOut = true
+	}
+	res.Exhausted = !c.incomplete.Load() && !res.TimedOut &&
+		!res.TargetReached && !(res.Violation && !c.opts.CensusViolations)
+	if c.opts.CensusViolations && !c.directed && c.violations.Load() > 0 &&
+		!initWitness && !res.TargetReached && !res.TimedOut {
+		res.Trace = c.bestTrace
+		if c.workers > 1 {
+			res.Trace = c.sys.regenWitness(c.opts, c.bestVFP)
+		}
+	}
+	return res
 }
 
-// expandAny dispatches a node expansion to the reduced or unreduced
-// path; sleep is only meaningful under Options.Reduce.
-func (e *scChecker) expandAny(c *Config, contexts, depth int, sleep uint64) ([]scChild, bool) {
-	if e.opts.Reduce {
-		return e.expandReduced(c, depth, sleep)
-	}
-	return e.expand(c, contexts, depth)
+// regenWitness reruns the census on a one-worker pool in directed mode,
+// stopping at the violation whose fingerprint a wider census selected;
+// its path is the canonical witness the one-worker census records.
+// Telemetry and budgets are stripped from the replay.
+func (s *System) regenWitness(opts Options, vfp uint64) *trace.Trace {
+	opts.Obs = nil
+	opts.Ctx = nil
+	opts.Deadline = time.Time{}
+	opts.MaxStates = 0
+	c := s.newChecker(opts, 1)
+	c.directed, c.stopAtVFP = true, vfp
+	return c.run().Trace
 }
 
-// expand visits one state: dedup, counters, caps and target checks,
-// then the scan over its macro-steps. It returns the accepted children
-// (nil when the state is pruned or a leaf) and whether the search is
-// done. contexts counts completed+current scheduling blocks; depth
-// counts macro-steps on the current path.
-func (e *scChecker) expand(c *Config, contexts, depth int) ([]scChild, bool) {
-	e.steps++
-	if e.steps%deadlineStride == 0 {
-		e.flushStats(depth)
-		if e.ctx != nil && e.ctx.Err() != nil {
-			e.exhausted = false
-			e.result.TimedOut = true
-			return nil, true
+// expand visits one frontier item: dedup, counters, caps and target
+// checks, then the scan over its macro-steps, whose children are pushed
+// in reverse scan order.
+func (c *checker) expand(ctx context.Context, w int, it scItem, push func(scItem), f sched.Frontier) error {
+	if hook := testExpandHook; hook != nil {
+		hook(w, it.depth)
+	}
+	if c.steps.Add(1)%flushStride == 0 {
+		c.flush(f)
+	}
+	if c.opts.Reduce {
+		return c.expandReduced(it, push)
+	}
+	// Order-independent dedup (mirroring ra): under a context bound the
+	// contexts-used coordinate is folded into the key, so whether a node
+	// is explored depends only on the node itself, never on discovery
+	// order. appendKey ends with the current-process value, so one more
+	// appended value stays injective within a run.
+	buf, dead := c.sys.dedupKey(it.cfg, c.bufs[w][:0], c.deads[w])
+	if c.opts.MaxContexts > 0 {
+		buf = appendVal(buf, lang.Value(it.contexts))
+	}
+	c.bufs[w], c.deads[w] = buf, dead
+	h := fp.Hash64(buf)
+	if !c.visited.VisitHash(h, buf) {
+		c.dedupHits.Add(1)
+		c.cDedupHits.Inc()
+		return nil
+	}
+	c.gMaxContexts.SetMax(int64(it.contexts))
+	if err := c.enter(it); err != nil {
+		return err
+	}
+	if c.sys.targetAt(it.cfg, c.opts.TargetLabels) {
+		c.stopMu.Lock()
+		if !c.targetReached {
+			c.targetReached = true
+			c.stopTrace = it.path.toTrace(nil)
 		}
-	}
-	// Order-independent dedup (the serial/parallel parity discipline,
-	// mirroring ra): under a context bound the contexts-used coordinate
-	// is folded into the key and the Visit budget is constant, so
-	// whether a node is explored depends only on the node itself, never
-	// on discovery order. appendKey ends with the current-process value,
-	// so one more appended value stays injective within a run.
-	e.keyBuf, e.deadBuf = e.sys.dedupKey(c, e.keyBuf[:0], e.deadBuf)
-	if e.opts.MaxContexts > 0 {
-		e.keyBuf = appendVal(e.keyBuf, lang.Value(contexts))
-	}
-	h := fp.Hash64(e.keyBuf)
-	if !e.visited.VisitHash(h, e.keyBuf, 0) {
-		e.dedupHits++
-		e.cDedupHits.Inc()
-		return nil, false
-	}
-	e.result.States++
-	e.cStates.Inc()
-	e.cDedupMisses.Inc()
-	e.gMaxDepth.SetMax(int64(depth))
-	e.gMaxContexts.SetMax(int64(contexts))
-	if e.opts.MaxStates > 0 && e.result.States >= e.opts.MaxStates {
-		e.exhausted = false
-		return nil, true
-	}
-	if e.targetReached(c) {
-		e.result.TargetReached = true
-		e.result.Trace = &trace.Trace{Events: append([]trace.Event(nil), e.path...)}
-		return nil, true
+		c.stopMu.Unlock()
+		return errStopSearch
 	}
 	// Try the process holding the context first: near-serial schedules
 	// are explored before heavily preempted ones, so counterexamples
 	// that deviate from a serial run in few, late places (the typical
 	// shape of mutual-exclusion bugs) are found early.
-	order := make([]int, 0, len(e.sys.Prog.Procs))
-	if c.cur >= 0 {
-		order = append(order, c.cur)
-	}
-	n := len(e.sys.Prog.Procs)
-	for i := 0; i < n; i++ {
-		p := i
-		if e.opts.ReverseProcs {
-			p = n - 1 - i
-		}
-		if p != c.cur {
-			order = append(order, p)
-		}
-	}
-	var kids []scChild
+	cfg := it.cfg
+	kids := c.kids[w][:0]
 	ord := 0 // macro-step ordinal within this node, for MixOrdinal
-	for _, p := range order {
-		if e.sys.status(c, p) != statusReady {
+	for _, p := range c.scanOrder(cfg, w) {
+		if c.sys.status(cfg, p) != statusReady {
 			continue
 		}
-		nc := contexts
-		if c.cur != p {
+		nc := it.contexts
+		if cfg.cur != p {
 			nc++
-			if e.opts.MaxContexts > 0 && nc > e.opts.MaxContexts {
+			if c.opts.MaxContexts > 0 && nc > c.opts.MaxContexts {
 				continue
 			}
 		}
-		e.cMacroSteps.Inc()
-		for _, oc := range e.sys.macroStep(c, p) {
+		c.cMacroSteps.Inc()
+		for _, oc := range c.sys.macroStep(cfg, p) {
 			vord := ord
 			ord++
-			e.result.Transitions++
-			e.cTransitions.Inc()
+			c.transitions.Add(1)
+			c.cTransitions.Inc()
 			if oc.violation {
-				e.result.Violation = true
-				e.result.Violations++
-				vfp := fp.MixOrdinal(h, vord)
-				switch {
-				case e.directed:
-					if vfp == e.stopAtVFP {
-						evs := append(append([]trace.Event(nil), e.path...), oc.events...)
-						e.result.Trace = &trace.Trace{Events: evs}
-						return nil, true
-					}
-				case !e.opts.CensusViolations:
-					evs := append(append([]trace.Event(nil), e.path...), oc.events...)
-					e.result.Trace = &trace.Trace{Events: evs}
-					return nil, true
-				case !e.initWitness && (e.result.Trace == nil || vfp < e.bestVFP):
-					// Census witness: minimal fingerprint wins, the
-					// schedule-independent tie-break shared with the
-					// parallel checker.
-					e.bestVFP = vfp
-					evs := append(append([]trace.Event(nil), e.path...), oc.events...)
-					e.result.Trace = &trace.Trace{Events: evs}
+				if err := c.violation(fp.MixOrdinal(h, vord), it.path, oc.events); err != nil {
+					return err
 				}
 				continue
 			}
-			kids = append(kids, scChild{cfg: oc.cfg, events: oc.events, contexts: nc})
+			kids = append(kids, scItem{
+				cfg:      oc.cfg,
+				path:     &scPathNode{parent: it.path, events: oc.events},
+				depth:    it.depth + 1,
+				contexts: nc,
+			})
 		}
 	}
-	return kids, false
+	c.kids[w] = pushReversed(kids, push)
+	return nil
 }
 
-func (e *scChecker) targetReached(c *Config) bool {
-	return e.sys.targetAt(c, e.opts.TargetLabels)
+// enter counts a newly visited state and applies the MaxStates cap.
+func (c *checker) enter(it scItem) error {
+	states := c.states.Add(1)
+	c.cStates.Inc()
+	c.cDedupMisses.Inc()
+	c.gMaxDepth.SetMax(int64(it.depth))
+	if c.opts.MaxStates > 0 && states >= int64(c.opts.MaxStates) {
+		c.incomplete.Store(true)
+		return errStopSearch
+	}
+	return nil
+}
+
+// violation records one violating macro-step with fingerprint vfp out
+// of the state at path; a non-nil error stops the search.
+func (c *checker) violation(vfp uint64, path *scPathNode, events []trace.Event) error {
+	c.violations.Add(1)
+	c.stopMu.Lock()
+	defer c.stopMu.Unlock()
+	switch {
+	case c.directed:
+		if vfp != c.stopAtVFP {
+			return nil
+		}
+	case c.opts.CensusViolations:
+		// Census witness: the minimal fingerprint wins, a tie-break any
+		// worker can apply locally.
+		if vfp < c.bestVFP {
+			c.bestVFP = vfp
+			if c.workers == 1 {
+				c.bestTrace = path.toTrace(events)
+			}
+		}
+		return nil
+	}
+	if c.stopTrace == nil {
+		c.stopTrace = path.toTrace(events)
+	}
+	return errStopSearch
+}
+
+// pushReversed pushes kids last to first, so the owner's LIFO pops
+// them in scan order, and returns the cleared slice for reuse.
+func pushReversed(kids []scItem, push func(scItem)) []scItem {
+	for i := len(kids) - 1; i >= 0; i-- {
+		push(kids[i])
+	}
+	clear(kids)
+	return kids[:0]
+}
+
+// scanOrder returns the canonical process scan order at cfg in worker
+// w's scratch: the context holder first, then declaration (or
+// reversed) order.
+func (c *checker) scanOrder(cfg *Config, w int) []int {
+	order := c.orders[w][:0]
+	if cfg.cur >= 0 {
+		order = append(order, cfg.cur)
+	}
+	n := len(c.sys.Prog.Procs)
+	for i := 0; i < n; i++ {
+		p := i
+		if c.opts.ReverseProcs {
+			p = n - 1 - i
+		}
+		if p != cfg.cur {
+			order = append(order, p)
+		}
+	}
+	c.orders[w] = order
+	return order
+}
+
+// flush pushes since-last-flush deltas into the live telemetry block,
+// plus the pending frontier and visited-set occupancy; the mark lives
+// under flushMu so concurrent flushes never double-count and the
+// sampled totals only ever grow.
+func (c *checker) flush(f sched.Frontier) {
+	if c.stats == nil {
+		return
+	}
+	c.flushMu.Lock()
+	cur := flushMark{
+		states:      int(c.states.Load()),
+		transitions: int(c.transitions.Load()),
+		probes:      int(c.steps.Load()),
+		hits:        int(c.dedupHits.Load()),
+		violations:  int(c.violations.Load()),
+	}
+	c.stats.Add(
+		int64(cur.states-c.mark.states),
+		int64(cur.transitions-c.mark.transitions),
+		int64(cur.probes-c.mark.probes),
+		int64(cur.hits-c.mark.hits),
+		int64(cur.violations-c.mark.violations),
+	)
+	c.mark = cur
+	c.flushMu.Unlock()
+	if f != nil {
+		c.stats.SetFrontier(f.Pending())
+	}
+	if c.opts.Reduce {
+		n, b := c.reducedVisited()
+		c.stats.SetVisited(int64(n), b)
+	} else {
+		c.stats.SetVisited(int64(c.visited.Len()), c.visited.ApproxBytes())
+	}
+}
+
+// finalFlush lands the run's totals after the pool has drained.
+func (c *checker) finalFlush() {
+	if c.stats == nil {
+		return
+	}
+	c.flush(nil)
+	c.stats.SetFrontier(0)
+}
+
+// targetAt reports whether every process listed in targets is at its
+// label in c.
+func (s *System) targetAt(c *Config, targets map[string]string) bool {
+	if len(targets) == 0 {
+		return false
+	}
+	for name, label := range targets {
+		pi := s.Prog.ProcIndex(name)
+		if pi < 0 {
+			return false
+		}
+		if s.Prog.Procs[pi].LabelAt(c.pcs[pi]) != label {
+			return false
+		}
+	}
+	return true
 }

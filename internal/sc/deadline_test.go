@@ -9,7 +9,7 @@ import (
 
 // TestCheckExpiredDeadline: a deadline already in the past must abort
 // the search before the first state — tiny probe time slices must not
-// overshoot into a deadlineStride of free search.
+// get any search at all.
 func TestCheckExpiredDeadline(t *testing.T) {
 	res := check(t, mustSB(), Options{Deadline: time.Now().Add(-time.Hour)})
 	if !res.TimedOut {

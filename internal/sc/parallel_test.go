@@ -28,12 +28,12 @@ func sbParallel() *lang.Program {
 // macro-step expansion must re-surface as a *sched.PanicError panic on
 // the Check caller, never a hang on the pool's termination barrier.
 func TestParallelWorkerPanicSurfaces(t *testing.T) {
-	testParallelExpandHook = func(worker, depth int) {
+	testExpandHook = func(worker, depth int) {
 		if depth >= 1 {
 			panic("injected worker failure")
 		}
 	}
-	defer func() { testParallelExpandHook = nil }()
+	defer func() { testExpandHook = nil }()
 
 	sys := NewSystem(lang.MustCompile(sbParallel()))
 	done := make(chan any, 1)
@@ -60,7 +60,8 @@ func TestParallelWorkerPanicSurfaces(t *testing.T) {
 }
 
 // TestParallelCensusMatchesSerialInPackage is the package-local parity
-// smoke test (the corpus sweep lives in internal/partest).
+// smoke test (the corpus sweep lives in internal/partest): the census on
+// a wider pool must equal the default one-worker census.
 func TestParallelCensusMatchesSerialInPackage(t *testing.T) {
 	sys := NewSystem(lang.MustCompile(sbParallel()))
 	ser := sys.Check(Options{CensusViolations: true})
@@ -69,7 +70,7 @@ func TestParallelCensusMatchesSerialInPackage(t *testing.T) {
 		if ser.Violation != par.Violation || ser.Violations != par.Violations ||
 			ser.States != par.States || ser.Transitions != par.Transitions ||
 			ser.Exhausted != par.Exhausted {
-			t.Errorf("workers=%d: serial %+v vs parallel %+v", w, ser, par)
+			t.Errorf("workers=%d: width 1 %+v vs %+v", w, ser, par)
 		}
 		st, pt := "", ""
 		if ser.Trace != nil {
@@ -79,7 +80,7 @@ func TestParallelCensusMatchesSerialInPackage(t *testing.T) {
 			pt = par.Trace.String()
 		}
 		if st != pt {
-			t.Errorf("workers=%d: witness differs\nserial:\n%s\nparallel:\n%s", w, st, pt)
+			t.Errorf("workers=%d: witness differs\nwidth 1:\n%s\nwide:\n%s", w, st, pt)
 		}
 	}
 }

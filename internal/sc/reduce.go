@@ -26,7 +26,6 @@ package sc
 // a revisit needing more is woken up for exactly the difference.
 
 import (
-	"context"
 	"sync"
 
 	"ravbmc/internal/fp"
@@ -109,8 +108,7 @@ func (s *System) locOfVar(name string) int { return s.VarIdx[name] }
 func (s *System) locOfArr(name string) int { return len(s.Prog.Vars) + s.ArrIdx[name] }
 
 // reduction returns the lazily-built dependence tables. The sync.Once
-// makes it safe to build while an unreduced parallel search shares the
-// System (the Workers race in raceReduced).
+// makes it safe to build while concurrent searches share the System.
 func (s *System) reduction() *reduceTables {
 	s.redOnce.Do(func() { s.red = s.buildReduction() })
 	return s.red
@@ -253,7 +251,7 @@ func procBit(p int) uint64 { return 1 << uint(p) }
 // loses no behaviour. The returned mask is restricted to ready
 // processes (stuck-at-CAS members contribute constraints but no
 // transitions; permanently-stuck and terminated processes neither).
-func (e *scChecker) persistentSet(c *Config) uint64 {
+func (e *checker) persistentSet(c *Config) uint64 {
 	r := e.sys.reduction()
 	n := len(e.sys.Prog.Procs)
 	var ready, live uint64
@@ -277,7 +275,7 @@ func (e *scChecker) persistentSet(c *Config) uint64 {
 		return 0
 	}
 	seed := -1
-	for _, p := range e.scanOrder(c) {
+	for _, p := range e.scanOrder(c, 0) {
 		if ready&procBit(p) != 0 {
 			seed = p
 			break
@@ -307,32 +305,10 @@ func (e *scChecker) persistentSet(c *Config) uint64 {
 	return inP & ready
 }
 
-// scanOrder returns the canonical process scan order at c: the context
-// holder first, then declaration (or reversed) order — identical to the
-// unreduced checker's bias towards near-serial schedules.
-func (e *scChecker) scanOrder(c *Config) []int {
-	order := e.orderBuf[:0]
-	if c.cur >= 0 {
-		order = append(order, c.cur)
-	}
-	n := len(e.sys.Prog.Procs)
-	for i := 0; i < n; i++ {
-		p := i
-		if e.opts.ReverseProcs {
-			p = n - 1 - i
-		}
-		if p != c.cur {
-			order = append(order, p)
-		}
-	}
-	e.orderBuf = order
-	return order
-}
-
 // stepEventsFoot fills e.execFoot with the dynamic shared footprint of
 // one executed macro step, read off its trace events (precise per
 // nondeterministic branch, unlike the static tables).
-func (e *scChecker) stepEventsFoot(events []trace.Event) locFoot {
+func (e *checker) stepEventsFoot(events []trace.Event) locFoot {
 	if e.execFoot.rd == nil {
 		e.execFoot = newLocFoot(e.sys.nLocs())
 	}
@@ -364,7 +340,7 @@ func (e *scChecker) stepEventsFoot(events []trace.Event) locFoot {
 // filterSleep keeps asleep only the processes whose next step is
 // independent of the executed step: the classical sleep-set inheritance
 // rule.
-func (e *scChecker) filterSleep(mask uint64, stepFoot locFoot, c *Config) uint64 {
+func (e *checker) filterSleep(mask uint64, stepFoot locFoot, c *Config) uint64 {
 	if mask == 0 {
 		return 0
 	}
@@ -382,19 +358,19 @@ func (e *scChecker) filterSleep(mask uint64, stepFoot locFoot, c *Config) uint64
 }
 
 // lookupMask returns the stored first-visit sleep mask of the state
-// currently encoded in e.keyBuf (hash h), if any.
-func (e *scChecker) lookupMask(h uint64) (uint64, bool) {
+// encoded as key (hash h), if any.
+func (e *checker) lookupMask(h uint64, key []byte) (uint64, bool) {
 	if e.rmEx != nil {
-		m, ok := e.rmEx[string(e.keyBuf)]
+		m, ok := e.rmEx[string(key)]
 		return m, ok
 	}
 	m, ok := e.rm[h]
 	return m, ok
 }
 
-func (e *scChecker) storeMask(h uint64, m uint64) {
+func (e *checker) storeMask(h uint64, key []byte, m uint64) {
 	if e.rmEx != nil {
-		e.rmEx[string(e.keyBuf)] = m
+		e.rmEx[string(key)] = m
 		return
 	}
 	e.rm[h] = m
@@ -402,7 +378,7 @@ func (e *scChecker) storeMask(h uint64, m uint64) {
 
 // reducedVisited returns the visited-set occupancy of the reduced
 // search, for telemetry.
-func (e *scChecker) reducedVisited() (int, int64) {
+func (e *checker) reducedVisited() (int, int64) {
 	if e.rmEx != nil {
 		n := len(e.rmEx)
 		return n, e.rmKeyBytes + int64(n)*exactMaskEntryBytes
@@ -418,134 +394,75 @@ const (
 
 // expandReduced is expand for the reduced search: persistent-set
 // restricted scan, sleep-mask-aware dedup with wake-ups, sleep
-// inheritance into children. The context bound is always unbounded here
-// (Check forces it), so the dedup key carries no contexts coordinate.
-func (e *scChecker) expandReduced(c *Config, depth int, sleep uint64) ([]scChild, bool) {
-	e.steps++
-	if e.steps%deadlineStride == 0 {
-		e.flushStats(depth)
-		if e.ctx != nil && e.ctx.Err() != nil {
-			e.exhausted = false
-			e.result.TimedOut = true
-			return nil, true
-		}
-	}
-	e.keyBuf, e.deadBuf = e.sys.dedupKey(c, e.keyBuf[:0], e.deadBuf)
-	h := fp.Hash64(e.keyBuf)
-	pset := e.persistentSet(c)
+// inheritance into children. It always runs on a one-worker pool
+// (Check forces it), so it owns worker 0's scratch and the mask maps,
+// and its first-visit masks follow the fixed depth-first order. The
+// context bound is always unbounded here, so the dedup key carries no
+// contexts coordinate.
+func (e *checker) expandReduced(it scItem, push func(scItem)) error {
+	key, dead := e.sys.dedupKey(it.cfg, e.bufs[0][:0], e.deads[0])
+	e.bufs[0], e.deads[0] = key, dead
+	h := fp.Hash64(key)
+	pset := e.persistentSet(it.cfg)
 	var explore, exploredBefore uint64
-	prev, revisit := e.lookupMask(h)
+	prev, revisit := e.lookupMask(h, key)
 	if !revisit {
 		if e.rmEx != nil {
-			e.rmKeyBytes += int64(len(e.keyBuf))
+			e.rmKeyBytes += int64(len(key))
 		}
-		e.storeMask(h, sleep)
-		explore = pset &^ sleep
-		e.result.States++
-		e.cStates.Inc()
-		e.cDedupMisses.Inc()
-		e.gMaxDepth.SetMax(int64(depth))
-		if e.opts.MaxStates > 0 && e.result.States >= e.opts.MaxStates {
-			e.exhausted = false
-			return nil, true
+		e.storeMask(h, key, it.sleep)
+		explore = pset &^ it.sleep
+		if err := e.enter(it); err != nil {
+			return err
 		}
 	} else {
-		if prev&^sleep == prev {
+		if prev&^it.sleep == prev {
 			// First visit explored at least everything this visit
 			// needs: prune, exactly like a plain dedup hit.
-			e.dedupHits++
+			e.dedupHits.Add(1)
 			e.cDedupHits.Inc()
-			return nil, false
+			return nil
 		}
 		// Wake-up: the state was first visited with a larger sleep
 		// set. Explore exactly the newly-needed processes and lower
 		// the stored mask to the intersection.
 		exploredBefore = pset &^ prev
-		explore = pset & prev &^ sleep
-		e.storeMask(h, prev&sleep)
+		explore = pset & prev &^ it.sleep
+		e.storeMask(h, key, prev&it.sleep)
 	}
 	if explore == 0 {
-		return nil, false
+		return nil
 	}
-	running := sleep | exploredBefore
-	var kids []scChild
+	running := it.sleep | exploredBefore
+	kids := e.kids[0][:0]
 	ord := 0
-	for _, p := range e.scanOrder(c) {
+	for _, p := range e.scanOrder(it.cfg, 0) {
 		if explore&procBit(p) == 0 {
 			continue
 		}
 		e.cMacroSteps.Inc()
-		for _, oc := range e.sys.macroStep(c, p) {
+		for _, oc := range e.sys.macroStep(it.cfg, p) {
 			vord := ord
 			ord++
-			e.result.Transitions++
+			e.transitions.Add(1)
 			e.cTransitions.Inc()
 			if oc.violation {
-				e.result.Violation = true
-				e.result.Violations++
-				vfp := fp.MixOrdinal(h, vord)
-				switch {
-				case !e.opts.CensusViolations:
-					evs := append(append([]trace.Event(nil), e.path...), oc.events...)
-					e.result.Trace = &trace.Trace{Events: evs}
-					return nil, true
-				case !e.initWitness && (e.result.Trace == nil || vfp < e.bestVFP):
-					e.bestVFP = vfp
-					evs := append(append([]trace.Event(nil), e.path...), oc.events...)
-					e.result.Trace = &trace.Trace{Events: evs}
+				if err := e.violation(fp.MixOrdinal(h, vord), it.path, oc.events); err != nil {
+					return err
 				}
 				continue
 			}
-			kids = append(kids, scChild{
-				cfg:    oc.cfg,
-				events: oc.events,
-				sleep:  e.filterSleep(running, e.stepEventsFoot(oc.events), c),
+			kids = append(kids, scItem{
+				cfg:   oc.cfg,
+				path:  &scPathNode{parent: it.path, events: oc.events},
+				depth: it.depth + 1,
+				sleep: e.filterSleep(running, e.stepEventsFoot(oc.events), it.cfg),
 			})
 		}
 		running |= procBit(p)
 	}
-	return kids, false
-}
-
-// raceReduced composes the reduction with Workers: a reduced serial
-// search races the unreduced parallel one, first conclusive result
-// wins and cancels the other. Verdicts agree by the parity invariant;
-// the counters (and, in stop mode, the specific witness) are those of
-// whichever arm won, so this mode trades the deterministic-counts
-// contract for wall-clock. The shared Obs recorder stays on the
-// parallel arm.
-func (s *System) raceReduced(opts Options, workers int) Result {
-	base := opts.Ctx
-	if base == nil {
-		base = context.Background()
-	}
-	ctx, cancel := context.WithCancel(base)
-	defer cancel()
-	ch := make(chan Result, 2)
-	go func() {
-		o := opts
-		o.Workers = 0
-		o.Ctx = ctx
-		o.Obs = nil
-		ch <- s.Check(o)
-	}()
-	go func() {
-		o := opts
-		o.Reduce = false
-		o.Ctx = ctx
-		ch <- s.Check(o)
-	}()
-	a := <-ch
-	if !a.TimedOut {
-		cancel()
-		go func() { <-ch }()
-		return a
-	}
-	b := <-ch
-	if !b.TimedOut {
-		return b
-	}
-	return a
+	e.kids[0] = pushReversed(kids, push)
+	return nil
 }
 
 // redOnce/red live on System so the tables are built once per program;

@@ -171,19 +171,24 @@ func TestReduceFallsBackOnLoops(t *testing.T) {
 	}
 }
 
-// TestReduceWorkersRace: Reduce composed with Workers races a reduced
-// serial search against the unreduced parallel one; the verdict must
-// match the serial unreduced baseline at every width.
-func TestReduceWorkersRace(t *testing.T) {
+// TestReduceRunsAtWidthOne: a reduced search ignores Workers and runs
+// on one worker, so any width gives the width-1 result exactly —
+// counts and witness — in stop and census modes.
+func TestReduceRunsAtWidthOne(t *testing.T) {
 	for name, p := range reduceCorpus(t) {
-		base := check(t, p, Options{})
-		for _, w := range []int{1, 4} {
-			got := check(t, p, Options{Reduce: true, Workers: w})
-			if got.Violation != base.Violation {
-				t.Errorf("%s workers=%d: raced Violation %v vs %v", name, w, got.Violation, base.Violation)
-			}
-			if got.Violation && got.Trace == nil {
-				t.Errorf("%s workers=%d: raced violation without witness", name, w)
+		for _, census := range []bool{false, true} {
+			base := check(t, p, Options{Reduce: true, CensusViolations: census})
+			for _, w := range []int{2, 4, -1} {
+				got := check(t, p, Options{Reduce: true, CensusViolations: census, Workers: w})
+				if got.Violation != base.Violation || got.Violations != base.Violations ||
+					got.States != base.States || got.Transitions != base.Transitions ||
+					got.Exhausted != base.Exhausted {
+					t.Errorf("%s census=%v workers=%d: %+v vs width 1 %+v", name, census, w, got, base)
+				}
+				if (got.Trace == nil) != (base.Trace == nil) ||
+					got.Trace != nil && got.Trace.String() != base.Trace.String() {
+					t.Errorf("%s census=%v workers=%d: witness differs from width 1", name, census, w)
+				}
 			}
 		}
 	}

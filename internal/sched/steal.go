@@ -18,7 +18,10 @@ import (
 // Each worker owns a deque: it pushes and pops at the tail (LIFO, so a
 // worker's traversal stays depth-first and cache-warm) and thieves
 // steal half of a victim's items from the head (the oldest, shallowest
-// entries, which tend to root the largest unexplored subtrees). The
+// entries, which tend to root the largest unexplored subtrees). A
+// one-worker pool is therefore a plain depth-first search, run on the
+// caller's goroutine: a callback that pushes its children (and the
+// caller its roots) in reverse has them popped in order. The
 // victim scan order is drawn from a per-worker seeded RNG, so a test
 // harness can perturb steal schedules deterministically by varying the
 // seed (the partest fuzz mode hunts order-dependence this way).
@@ -110,14 +113,17 @@ func (p *StealPool[T]) Run(ctx context.Context, roots []T, expand func(ctx conte
 		d.items = append(d.items, root)
 	}
 
+	// Worker 0 runs on the calling goroutine: a one-worker pool starts
+	// no goroutine at all.
 	var wg sync.WaitGroup
-	for w := 0; w < p.workers; w++ {
+	for w := 1; w < p.workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			p.worker(gctx, cancel, r, w, expand)
 		}(w)
 	}
+	p.worker(gctx, cancel, r, 0, expand)
 	wg.Wait()
 
 	r.errMu.Lock()
@@ -156,7 +162,9 @@ func (p *StealPool[T]) worker(ctx context.Context, cancel context.CancelFunc, r 
 		own.items = append(own.items, item)
 		own.mu.Unlock()
 	}
-	rng := rand.New(rand.NewSource(p.seed + int64(w)*0x9E3779B9))
+	// The steal-order RNG is made on the first steal attempt: seeding
+	// one is a 607-word setup, and a one-worker pool never steals.
+	var rng *rand.Rand
 	idle := time.Duration(0)
 
 	// step runs expand on one item with panic capture; the deferred
@@ -176,12 +184,16 @@ func (p *StealPool[T]) worker(ctx context.Context, cancel context.CancelFunc, r 
 		}
 	}
 
+	cancelled := ctx.Done()
 	for {
 		// Cancellation must be observed even while the own deque never
 		// drains (a growing frontier): check before every pop, not just
-		// when idle. One Err() load is noise against expanding a state.
-		if ctx.Err() != nil {
+		// when idle. A non-blocking receive is a lock-free load, noise
+		// against expanding a state.
+		select {
+		case <-cancelled:
 			return
+		default:
 		}
 
 		// Own deque first, newest item (LIFO: depth-first traversal).
@@ -208,6 +220,9 @@ func (p *StealPool[T]) worker(ctx context.Context, cancel context.CancelFunc, r 
 		}
 
 		// Steal half from a victim, scanning in seeded random order.
+		if rng == nil {
+			rng = rand.New(rand.NewSource(p.seed + int64(w)*0x9E3779B9))
+		}
 		stolen := false
 		for _, v := range rng.Perm(p.workers) {
 			if v == w {

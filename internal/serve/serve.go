@@ -39,7 +39,7 @@ type Config struct {
 	// (<=0 selects the engine default).
 	Jobs int
 	// SearchWorkers is the work-stealing pool width inside each single
-	// search (0 = serial). It trades intra-query latency against the
+	// search (0 and 1 = one depth-first worker). It trades intra-query latency against the
 	// admission Workers above: n admission slots each running w search
 	// workers occupy n*w CPUs at saturation, so size the product to the
 	// machine.

@@ -156,12 +156,13 @@ scrape_metric() { # scrape_metric BASE METRIC — counter value, 0 if absent
   done
   # Intra-query parallel sweep: peterson_4 (fenced, SAFE — the search
   # must cover its whole bounded space, so states/s measures raw
-  # exploration throughput) at work-stealing widths 0 (serial) and
-  # 1/2/4/8. Each report carries config.workers; on a multi-core
-  # recorder the 4-worker run should show ≥2x the serial states/s,
-  # while a 1-core runner legitimately shows none (the partest harness
-  # guarantees the verdict and census are identical either way).
-  for w in 0 1 2 4 8; do
+  # exploration throughput) at work-stealing widths 1/2/4/8 (0 is the
+  # same one-worker pool as 1). Each report carries config.workers; on
+  # a multi-core recorder the 4-worker run should show ≥2x the
+  # one-worker states/s, while a 1-core runner legitimately shows none
+  # (the partest harness guarantees the verdict and census are
+  # identical either way).
+  for w in 1 2 4 8; do
     echo ','
     /tmp/vbmc-bench -json -k 2 -l 2 -timeout "$timeout" -bench peterson_4 -workers "$w" || true
   done
