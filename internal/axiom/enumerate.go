@@ -16,10 +16,8 @@ import (
 // orders and keeps the ones satisfying the axioms.
 type Enumerator struct {
 	prog     *lang.CompiledProgram
-	varIdx   map[string]int
 	nvars    int
 	fenceVar int
-	regIdx   []map[string]int
 
 	seenGraph map[string]bool
 	outcomes  map[string]bool
@@ -48,14 +46,10 @@ func NewEnumerator(cp *lang.CompiledProgram, render func(regs [][]lang.Value) st
 	}
 	e := &Enumerator{
 		prog:      cp,
-		varIdx:    map[string]int{},
 		seenGraph: map[string]bool{},
 		outcomes:  map[string]bool{},
 		render:    render,
 		maxSteps:  1 << 24,
-	}
-	for i, v := range cp.Vars {
-		e.varIdx[v] = i
 	}
 	e.nvars = len(cp.Vars)
 	e.fenceVar = -1
@@ -66,11 +60,6 @@ func NewEnumerator(cp *lang.CompiledProgram, render func(regs [][]lang.Value) st
 				e.nvars++
 			}
 		}
-		m := map[string]int{}
-		for i, r := range pr.Regs {
-			m[r] = i
-		}
-		e.regIdx = append(e.regIdx, m)
 	}
 	return e, nil
 }
@@ -147,12 +136,7 @@ func (e *Enumerator) interleave(s *state) {
 }
 
 func (e *Enumerator) step(s *state, p int, in *lang.Instr) {
-	env := func(name string) lang.Value {
-		if i, ok := e.regIdx[p][name]; ok {
-			return s.regs[p][i]
-		}
-		return 0
-	}
+	regs := s.regs[p]
 	local := func(mutate func(d *state)) {
 		d := s.clone()
 		d.pcs[p] = in.Next
@@ -163,31 +147,29 @@ func (e *Enumerator) step(s *state, p int, in *lang.Instr) {
 	}
 	switch in.Op {
 	case lang.OpReadVar:
-		v := e.varIdx[in.Var]
-		ri := e.regIdx[p][in.Reg]
+		v := in.VarSlot
 		for _, w := range s.writes[v] {
-			w := w
 			val := s.events[w].ValW
 			d := s.clone()
 			d.pcs[p] = in.Next
-			d.regs[p][ri] = val
+			d.regs[p][in.RegSlot] = val
 			id := len(d.events)
 			d.events = append(d.events, Event{ID: id, Proc: p, Idx: id, Kind: KindRead, Var: v, ValR: val})
 			d.rf[id] = w
 			e.interleave(d)
 		}
 	case lang.OpWriteVar:
-		val := in.Val.Eval(env)
-		v := e.varIdx[in.Var]
+		val := in.ValS.Eval(regs)
+		v := in.VarSlot
 		local(func(d *state) {
 			id := len(d.events)
 			d.events = append(d.events, Event{ID: id, Proc: p, Idx: id, Kind: KindWrite, Var: v, ValW: val})
 			d.writes[v] = append(d.writes[v], id)
 		})
 	case lang.OpCASVar:
-		v := e.varIdx[in.Var]
-		old := in.Old.Eval(env)
-		newVal := in.Val.Eval(env)
+		v := in.VarSlot
+		old := in.OldS.Eval(regs)
+		newVal := in.ValS.Eval(regs)
 		e.update(s, p, in, v, func(cur lang.Value) (lang.Value, bool) {
 			if cur != old {
 				return 0, false
@@ -199,17 +181,14 @@ func (e *Enumerator) step(s *state, p int, in *lang.Instr) {
 			return cur + 1, true
 		})
 	case lang.OpAssignReg:
-		val := in.Val.Eval(env)
-		ri := e.regIdx[p][in.Reg]
-		local(func(d *state) { d.regs[p][ri] = val })
+		val := in.ValS.Eval(regs)
+		local(func(d *state) { d.regs[p][in.RegSlot] = val })
 	case lang.OpNondetReg:
-		ri := e.regIdx[p][in.Reg]
 		for val := in.Lo; val <= in.Hi; val++ {
-			val := val
-			local(func(d *state) { d.regs[p][ri] = val })
+			local(func(d *state) { d.regs[p][in.RegSlot] = val })
 		}
 	case lang.OpAssumeCond:
-		if in.Cond.Eval(env) != 0 {
+		if in.CondS.Eval(regs) != 0 {
 			local(nil)
 		}
 		// A false assume parks the process; the enumeration simply never
@@ -219,7 +198,7 @@ func (e *Enumerator) step(s *state, p int, in *lang.Instr) {
 		local(nil)
 	case lang.OpCJmp:
 		d := s.clone()
-		if in.Cond.Eval(env) != 0 {
+		if in.CondS.Eval(regs) != 0 {
 			d.pcs[p] = in.Next
 		} else {
 			d.pcs[p] = in.Else

@@ -65,6 +65,12 @@ func (op Op) String() string {
 // Instr is one flat instruction. Fields are used per-opcode; unused
 // fields are zero. Next is the fallthrough / jump / true target; Else is
 // the false target of OpCJmp.
+//
+// The name-level fields (Reg, Var, Val, Old, Index, Cond) name the
+// operands in trace events, diagnostics and the analyses that work by
+// name (internal/tmai). Compile also resolves them into slots, which is
+// what the engines execute: no engine looks a name up or evaluates
+// through a closure on its hot path.
 type Instr struct {
 	Op    Op
 	Label string // source label, or generated "<proc>#<idx>"
@@ -78,6 +84,18 @@ type Instr struct {
 	Hi    Value  // nondet upper bound (inclusive)
 	Next  int
 	Else  int
+
+	// VarSlot is the index of Var in CompiledProgram.Vars for the
+	// scalar accesses (read, write, cas) and in CompiledProgram.Arrays
+	// for load/store; -1 when the opcode has no shared operand.
+	VarSlot int
+	// RegSlot is the index of Reg in the process's Regs (read, load,
+	// assign, nondet); -1 when the opcode writes no register.
+	RegSlot int
+	// ValS, OldS, IndexS and CondS are Val, Old, Index and Cond lowered
+	// against the process's register file (see SlotExpr); the zero
+	// SlotExpr where the expression is absent.
+	ValS, OldS, IndexS, CondS SlotExpr
 }
 
 // CompiledProc is a process lowered to flat code. Entry is always 0 and
@@ -109,6 +127,11 @@ func Compile(p *Program) (*CompiledProgram, error) {
 		Vars:   p.Vars,
 		Arrays: p.Arrays,
 	}
+	vars := slotMap(p.Vars)
+	arrays := make(map[string]int, len(p.Arrays))
+	for i, a := range p.Arrays {
+		arrays[a.Name] = i
+	}
 	for _, pr := range p.Procs {
 		c := &compiler{proc: pr.Name}
 		c.stmts(pr.Body)
@@ -124,6 +147,10 @@ func Compile(p *Program) (*CompiledProgram, error) {
 				c.code[i].Label = fmt.Sprintf("%s#%d", pr.Name, i)
 			}
 		}
+		regs := slotMap(pr.Regs)
+		for i := range c.code {
+			c.code[i].resolve(vars, arrays, regs)
+		}
 		cp.Procs = append(cp.Procs, &CompiledProc{
 			Name: pr.Name,
 			Regs: append([]string(nil), pr.Regs...),
@@ -131,6 +158,34 @@ func Compile(p *Program) (*CompiledProgram, error) {
 		})
 	}
 	return cp, nil
+}
+
+func slotMap(names []string) map[string]int {
+	m := make(map[string]int, len(names))
+	for i, n := range names {
+		m[n] = i
+	}
+	return m
+}
+
+// resolve fills in the instruction's slots from the name tables of its
+// program and process.
+func (in *Instr) resolve(vars, arrays, regs map[string]int) {
+	in.VarSlot, in.RegSlot = -1, -1
+	switch in.Op {
+	case OpReadVar, OpWriteVar, OpCASVar:
+		in.VarSlot = vars[in.Var]
+	case OpLoadArrEl, OpStoreArrEl:
+		in.VarSlot = arrays[in.Var]
+	}
+	switch in.Op {
+	case OpReadVar, OpLoadArrEl, OpAssignReg, OpNondetReg:
+		in.RegSlot = regs[in.Reg]
+	}
+	in.ValS = Lower(in.Val, regs)
+	in.OldS = Lower(in.Old, regs)
+	in.IndexS = Lower(in.Index, regs)
+	in.CondS = Lower(in.Cond, regs)
 }
 
 // MustCompile is Compile that panics on error; for use with generated

@@ -78,38 +78,47 @@ func (c Const) Eval(func(string) Value) Value { return c.V }
 func (r Reg) Eval(regs func(string) Value) Value { return regs(r.Name) }
 
 // Eval implements Expr.
-func (u Unary) Eval(regs func(string) Value) Value {
-	x := u.X.Eval(regs)
-	switch u.Op {
-	case OpNot:
-		if x == 0 {
-			return 1
-		}
-		return 0
-	case OpNeg:
-		return -x
-	}
-	panic(fmt.Sprintf("lang: bad unary op %d", u.Op))
-}
+func (u Unary) Eval(regs func(string) Value) Value { return u.Op.apply(u.X.Eval(regs)) }
 
 // Eval implements Expr.
 func (b Binary) Eval(regs func(string) Value) Value {
 	l := b.L.Eval(regs)
 	// Short-circuit logical operators.
-	switch b.Op {
-	case OpAnd:
-		if l == 0 {
-			return 0
-		}
-		return truth(b.R.Eval(regs) != 0)
-	case OpOr:
-		if l != 0 {
-			return 1
-		}
-		return truth(b.R.Eval(regs) != 0)
+	if v, done := b.Op.shortCircuit(l); done {
+		return v
 	}
-	r := b.R.Eval(regs)
-	switch b.Op {
+	return b.Op.apply(l, b.R.Eval(regs))
+}
+
+func (op UnOp) apply(x Value) Value {
+	switch op {
+	case OpNot:
+		return truth(x == 0)
+	case OpNeg:
+		return -x
+	}
+	panic(fmt.Sprintf("lang: bad unary op %d", op))
+}
+
+// shortCircuit returns the value of a logical operator fixed by its
+// left operand alone, and whether there is one.
+func (op BinOp) shortCircuit(l Value) (Value, bool) {
+	switch {
+	case op == OpAnd && l == 0:
+		return 0, true
+	case op == OpOr && l != 0:
+		return 1, true
+	}
+	return 0, false
+}
+
+// apply combines two evaluated operands; And/Or reach it only when the
+// left operand did not short-circuit, so their value is the right one's
+// truth.
+func (op BinOp) apply(l, r Value) Value {
+	switch op {
+	case OpAnd, OpOr:
+		return truth(r != 0)
 	case OpAdd:
 		return l + r
 	case OpSub:
@@ -139,7 +148,75 @@ func (b Binary) Eval(regs func(string) Value) Value {
 	case OpGe:
 		return truth(l >= r)
 	}
-	panic(fmt.Sprintf("lang: bad binary op %d", b.Op))
+	panic(fmt.Sprintf("lang: bad binary op %d", op))
+}
+
+// SlotExpr is an expression lowered against one process's register
+// file: register references are resolved to indices, so Eval reads a
+// []Value directly, with no name lookup and no closure. Compile lowers
+// every expression operand of every Instr; the zero SlotExpr is the
+// constant 0.
+type SlotExpr struct {
+	kind slotKind
+	op   uint8     // UnOp or BinOp
+	v    Value     // the constant, or the register slot (-1: undeclared)
+	x, y *SlotExpr // operands of unary (x) and binary (x, y) nodes
+}
+
+type slotKind uint8
+
+const (
+	slotConst slotKind = iota
+	slotReg
+	slotUnary
+	slotBinary
+)
+
+// Lower resolves e against a process's register slots (name → index in
+// its register file). A register missing from slots reads 0, the
+// paper's convention for the initial register value.
+func Lower(e Expr, slots map[string]int) SlotExpr {
+	switch x := e.(type) {
+	case nil:
+		return SlotExpr{}
+	case Const:
+		return SlotExpr{kind: slotConst, v: x.V}
+	case Reg:
+		i, ok := slots[x.Name]
+		if !ok {
+			i = -1
+		}
+		return SlotExpr{kind: slotReg, v: Value(i)}
+	case Unary:
+		sub := Lower(x.X, slots)
+		return SlotExpr{kind: slotUnary, op: uint8(x.Op), x: &sub}
+	case Binary:
+		l, r := Lower(x.L, slots), Lower(x.R, slots)
+		return SlotExpr{kind: slotBinary, op: uint8(x.Op), x: &l, y: &r}
+	}
+	panic(fmt.Sprintf("lang: lower: unknown expression %T", e))
+}
+
+// Eval evaluates the expression over the register file regs, with the
+// semantics of Expr.Eval.
+func (e *SlotExpr) Eval(regs []Value) Value {
+	switch e.kind {
+	case slotConst:
+		return e.v
+	case slotReg:
+		if e.v < 0 {
+			return 0
+		}
+		return regs[e.v]
+	case slotUnary:
+		return UnOp(e.op).apply(e.x.Eval(regs))
+	}
+	op := BinOp(e.op)
+	l := e.x.Eval(regs)
+	if v, done := op.shortCircuit(l); done {
+		return v
+	}
+	return op.apply(l, e.y.Eval(regs))
 }
 
 func truth(b bool) Value {

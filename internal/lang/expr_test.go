@@ -137,6 +137,22 @@ func TestEvalDeterministic(t *testing.T) {
 	}
 }
 
+// TestLowerMatchesEval (property): an expression lowered to register
+// slots evaluates exactly as the name-based form, an undeclared
+// register ("c" below) reading 0 in both.
+func TestLowerMatchesEval(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	slots := map[string]int{"a": 0, "b": 1}
+	f := func(a, b Value) bool {
+		e := randomExpr(rng, []string{"a", "b", "c"}, 5)
+		low := Lower(e, slots)
+		return low.Eval([]Value{a, b}) == evalWith(e, map[string]Value{"a": a, "b": b})
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestComparisonsAreBoolean (property): comparison and logic operators
 // always yield 0 or 1.
 func TestComparisonsAreBoolean(t *testing.T) {

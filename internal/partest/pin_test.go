@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"ravbmc/internal/benchmarks"
 	"ravbmc/internal/core"
+	"ravbmc/internal/lang"
 	"ravbmc/internal/litmus"
 	"ravbmc/internal/ra"
+	"ravbmc/internal/sc"
 	"ravbmc/internal/trace"
 )
 
@@ -44,19 +47,38 @@ func witnessSum(traces ...*trace.Trace) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// table1Pin runs one paper Table 1 row through core.Run at K=2, L=2:
-// the probe ladder, the final search and the lifted witness.
-func table1Pin(t *testing.T, name string) pinRow {
+// corePin runs one benchmark through core.Run at K=2 and unrolling
+// bound l: the probe ladder, the final search and the lifted witness.
+func corePin(t *testing.T, name string, l int) pinRow {
 	t.Helper()
 	p, err := benchmarks.ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(p, core.Options{K: 2, Unroll: 2})
+	res, err := core.Run(p, core.Options{K: 2, Unroll: l})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
 	return pinRow{name, res.States, res.Transitions, witnessSum(res.Trace, res.Witness)}
+}
+
+// classicCensusPin checks the K=2 translation of one classic litmus
+// shape with the SC backend in census mode under the paper's K+n
+// context bound: every violation is counted and the witness is the
+// minimal-fingerprint one, rebuilt by replay.
+func classicCensusPin(t *testing.T, tc litmus.Test) pinRow {
+	t.Helper()
+	const k = 2
+	tp, err := core.Translate(tc.Prog, k)
+	if err != nil {
+		t.Fatalf("%s: %v", tc.Name, err)
+	}
+	cp, err := lang.Compile(tp)
+	if err != nil {
+		t.Fatalf("%s: %v", tc.Name, err)
+	}
+	res := sc.NewSystem(cp).Check(sc.Options{MaxContexts: k + len(cp.Procs), CensusViolations: true})
+	return pinRow{tc.Name, res.States, res.Transitions, witnessSum(res.Trace)}
 }
 
 // classicPin explores one classic litmus shape with the RA explorer in
@@ -80,6 +102,45 @@ var table1Pins = []pinRow{
 	{"peterson_0(3)", 560175, 891702, "c9e1f601f2f9cb09246f264a83fac842aaba965c0b02aba6b7cfdb423922bc22"},
 	{"sim_dekker", 4024, 4859, "bdb51d4bf748bf77c6833a96773f50b0dba46fc0d0a70a1784ea2cead2cfa596"},
 	{"szymanski_0", 63268, 91931, "f32961519d5a5710b36861888f512fc9f31c5ed7d6436295d0496cc2018cf9b0"},
+}
+
+// proofPins are the SAFE rows of the benchmark's proofs workload at
+// K=2: tbar_4 at L=1/2/4, tbar_4(3) and peterson_4(2) at L=1. Like
+// classicCensusPins, they were recorded while the SC search still built
+// trace events on every macro step.
+var proofPins = []struct {
+	l   int
+	pin pinRow
+}{
+	{1, pinRow{"tbar_4", 4341, 5418, ""}},
+	{2, pinRow{"tbar_4", 8973, 12084, ""}},
+	{4, pinRow{"tbar_4", 24837, 34548, ""}},
+	{1, pinRow{"tbar_4(3)", 43491, 63243, ""}},
+	{1, pinRow{"peterson_4(2)", 384150, 512583, ""}},
+}
+
+// classicCensusPins are classicCensusPin's results, in litmus.Classic
+// order, recorded while the SC search still built trace events on every
+// macro step: they hold the replayed witnesses to the old bytes.
+var classicCensusPins = []pinRow{
+	{"MP", 122, 122, ""},
+	{"MP-rev", 120, 125, "c9a8075d45fbf18c7574e9192a50b0a9a59a20cc3c73a039d5abcdfb84e9f7e5"},
+	{"SB-half", 77, 128, "bb70e38bb0e381d702940a97c31510a171400066606aec14646a0bfc3e85c0e5"},
+	{"SB+fences", 17561, 30089, ""},
+	{"LB-half", 88, 90, "e7df1b85e45966b1367c0e75d8b61ef30a24a29c599953a4112d33a91a13e83a"},
+	{"LB", 2224, 3224, ""},
+	{"CoRR", 209, 242, ""},
+	{"WRC", 122, 153, ""},
+	{"RWC", 471, 696, "c8ea1525a947be7fede3f2dc0af9d3f4639cc487b364546b93d2717f6fcb6b59"},
+	{"IRIW", 2826, 5368, ""},
+	{"CAS-excl", 157, 156, ""},
+	{"2+2W", 7564, 10134, "c70f2e777ae84395762213b14eda4171630c8abb7b3d51a28713fa6cf7a9851a"},
+	{"S-coh", 871, 1309, ""},
+	{"MP+cas", 36, 35, ""},
+	{"CAS-chain", 19, 21, "1588bed3b2bc8d8c9c2fe088ec236bed71d06df59e45836f772842f8c7d02716"},
+	{"SB+1fence", 34103, 62624, "2822ab66e5597c1fb4f0d8f4f6be7f1d73bc5738cf56e303d931d67546f64966"},
+	{"CoWR", 114, 124, ""},
+	{"2F-SB", 17561, 30089, ""},
 }
 
 var classicPins = []pinRow{
@@ -113,10 +174,41 @@ func TestPinTable1(t *testing.T) {
 				t.Skip("large row; run without -short")
 			}
 			t.Parallel()
-			if got := table1Pin(t, want.name); got != want {
+			if got := corePin(t, want.name, 2); got != want {
 				t.Errorf("got %+v, want %+v", got, want)
 			}
 		})
+	}
+}
+
+// TestPinProofs holds the proofs workload's SAFE rows, the exhaustive
+// searches the SC backend spends its time on, to their counts.
+func TestPinProofs(t *testing.T) {
+	for _, row := range proofPins {
+		want := row.pin
+		t.Run(fmt.Sprintf("%s/L=%d", want.name, row.l), func(t *testing.T) {
+			if testing.Short() && want.states > 100000 {
+				t.Skip("large row; run without -short")
+			}
+			t.Parallel()
+			if got := corePin(t, want.name, row.l); got != want {
+				t.Errorf("got %+v, want %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestPinClassicsSCCensus holds the census-mode SC check of every
+// classic's K=2 translation to its counts and witness bytes.
+func TestPinClassicsSCCensus(t *testing.T) {
+	classics := litmus.Classic()
+	if len(classics) != len(classicCensusPins) {
+		t.Fatalf("%d classics, %d pins", len(classics), len(classicCensusPins))
+	}
+	for i, tc := range classics {
+		if got := classicCensusPin(t, tc); got != classicCensusPins[i] {
+			t.Errorf("got %+v, want %+v", got, classicCensusPins[i])
+		}
 	}
 }
 

@@ -37,12 +37,7 @@ func (s *System) Successors(c *Config, p int) []Succ {
 func (s *System) successors(c *Config, p int, capture bool) []Succ {
 	pr := s.Prog.Procs[p]
 	in := &pr.Code[c.pcs[p]]
-	env := func(name string) lang.Value {
-		if i, ok := s.RegIdx[p][name]; ok {
-			return c.regs[p][i]
-		}
-		return 0
-	}
+	regs := c.regs[p]
 	ev := func(kind trace.Kind, detail string) trace.Event {
 		return trace.Event{Proc: pr.Name, Label: in.Label, Kind: kind, Detail: detail}
 	}
@@ -59,29 +54,26 @@ func (s *System) successors(c *Config, p int, capture bool) []Succ {
 	case lang.OpReadVar:
 		return s.readSuccs(c, p, in, ev, capture)
 	case lang.OpWriteVar:
-		return s.writeSuccs(c, p, in, env, ev, capture)
+		return s.writeSuccs(c, p, in, ev, capture)
 	case lang.OpCASVar:
-		return s.rmwSuccs(c, p, in, s.VarIdx[in.Var], env, ev, false, capture)
+		return s.rmwSuccs(c, p, in, in.VarSlot, ev, false, capture)
 	case lang.OpFenceOp:
 		if s.FenceVar < 0 {
 			panic("ra: fence instruction but no fence variable allocated")
 		}
-		return s.rmwSuccs(c, p, in, s.FenceVar, env, ev, true, capture)
+		return s.rmwSuccs(c, p, in, s.FenceVar, ev, true, capture)
 	case lang.OpAssignReg:
-		v := in.Val.Eval(env)
-		ri := s.RegIdx[p][in.Reg]
+		v := in.ValS.Eval(regs)
 		sc := local(trace.KindLocal, "", func(d *Config) {
-			d.regs[p][ri] = v
+			d.regs[p][in.RegSlot] = v
 		})
 		sc.Event.Reg, sc.Event.Val, sc.Event.HasVal = in.Reg, int64(v), true
 		return []Succ{sc}
 	case lang.OpNondetReg:
-		ri := s.RegIdx[p][in.Reg]
 		var out []Succ
 		for v := in.Lo; v <= in.Hi; v++ {
-			v := v
 			sc := local(trace.KindLocal, "", func(d *Config) {
-				d.regs[p][ri] = v
+				d.regs[p][in.RegSlot] = v
 			})
 			sc.Event.Reg, sc.Event.Val, sc.Event.HasVal = in.Reg, int64(v), true
 			sc.Event.Choice = true
@@ -89,12 +81,12 @@ func (s *System) successors(c *Config, p int, capture bool) []Succ {
 		}
 		return out
 	case lang.OpAssumeCond:
-		if in.Cond.Eval(env) == 0 {
+		if in.CondS.Eval(regs) == 0 {
 			return nil // process remains at λ forever (paper Sec. 3)
 		}
 		return []Succ{local(trace.KindAssume, in.Cond.String(), nil)}
 	case lang.OpAssertCond:
-		if in.Cond.Eval(env) == 0 {
+		if in.CondS.Eval(regs) == 0 {
 			return []Succ{{
 				Proc:      p,
 				Config:    c.clone(),
@@ -106,7 +98,7 @@ func (s *System) successors(c *Config, p int, capture bool) []Succ {
 	case lang.OpCJmp:
 		d := c.clone()
 		det := "branch "
-		if in.Cond.Eval(env) != 0 {
+		if in.CondS.Eval(regs) != 0 {
 			d.pcs[p] = in.Next
 			det += "taken: "
 		} else {
@@ -128,8 +120,7 @@ func (s *System) successors(c *Config, p int, capture bool) []Succ {
 // position is at or above the process view can be read; the process view
 // is merged with the message view.
 func (s *System) readSuccs(c *Config, p int, in *lang.Instr, ev func(trace.Kind, string) trace.Event, capture bool) []Succ {
-	x := s.VarIdx[in.Var]
-	ri := s.RegIdx[p][in.Reg]
+	x := in.VarSlot
 	from := c.pos(c.views[p][x])
 	order := c.mo[x]
 	var out []Succ
@@ -139,7 +130,7 @@ func (s *System) readSuccs(c *Config, p int, in *lang.Instr, ev func(trace.Kind,
 		d := c.clone()
 		d.pcs[p] = in.Next
 		d.views[p] = merged
-		d.regs[p][ri] = m.Val
+		d.regs[p][in.RegSlot] = m.Val
 		e := trace.Event{Proc: s.Prog.Procs[p].Name, Label: in.Label, Kind: trace.KindRead,
 			Var: in.Var, Reg: in.Reg, Val: int64(m.Val), HasVal: true,
 			ReadMsg: s.msgRef(c, m), ViewSwitch: changed}
@@ -172,9 +163,9 @@ func (s *System) viewRef(c *Config, view []*Msg) trace.View {
 // any modification-order gap strictly after the view — except between a
 // message and a glued (CAS-created) successor, which models the occupied
 // t+1 slot.
-func (s *System) writeSuccs(c *Config, p int, in *lang.Instr, env func(string) lang.Value, ev func(trace.Kind, string) trace.Event, capture bool) []Succ {
-	x := s.VarIdx[in.Var]
-	val := in.Val.Eval(env)
+func (s *System) writeSuccs(c *Config, p int, in *lang.Instr, ev func(trace.Kind, string) trace.Event, capture bool) []Succ {
+	x := in.VarSlot
+	val := in.ValS.Eval(c.regs[p])
 	from := c.pos(c.views[p][x])
 	order := c.mo[x]
 	var out []Succ
@@ -208,13 +199,13 @@ func (s *System) writeSuccs(c *Config, p int, in *lang.Instr, env func(string) l
 // Old and whose t+1 slot is free (no glued successor); the new message
 // is glued immediately after it. A fence is an unconditional RMW on the
 // distinguished fence variable that writes the read value plus one.
-func (s *System) rmwSuccs(c *Config, p int, in *lang.Instr, x int, env func(string) lang.Value, ev func(trace.Kind, string) trace.Event, isFence bool, capture bool) []Succ {
+func (s *System) rmwSuccs(c *Config, p int, in *lang.Instr, x int, ev func(trace.Kind, string) trace.Event, isFence bool, capture bool) []Succ {
 	from := c.pos(c.views[p][x])
 	order := c.mo[x]
 	var out []Succ
 	for j := from; j < len(order); j++ {
 		m := order[j]
-		if !isFence && m.Val != in.Old.Eval(env) {
+		if !isFence && m.Val != in.OldS.Eval(c.regs[p]) {
 			continue
 		}
 		if j+1 < len(order) && order[j+1].Glued {
@@ -224,7 +215,7 @@ func (s *System) rmwSuccs(c *Config, p int, in *lang.Instr, x int, env func(stri
 		if isFence {
 			newVal = m.Val + 1
 		} else {
-			newVal = in.Val.Eval(env)
+			newVal = in.ValS.Eval(c.regs[p])
 		}
 		merged, changed := c.mergeViews(c.views[p], m.View)
 		nm := &Msg{Var: x, Val: newVal, View: merged, Glued: true, Writer: p, Seq: c.nextSeq}

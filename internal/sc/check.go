@@ -157,27 +157,29 @@ func (s *System) Check(opts Options) Result {
 	return s.newChecker(opts, workers).run()
 }
 
-// scPathNode is one link of a frontier item's path to a state; each
-// link holds the events of one macro-step (several trace events).
-// Chains are immutable and shared structurally between siblings.
+// scPathNode is one link of a frontier item's path to a state: the
+// macro step of process proc that took its idx-th outcome (violating
+// ones included). A root link has no parent and idx indexes the initial
+// closure. Chains are immutable and shared structurally between
+// siblings; replay turns one back into trace events.
 type scPathNode struct {
-	parent *scPathNode
-	events []trace.Event
+	parent    *scPathNode
+	proc, idx int32
 }
 
-// toTrace materialises the chain root-first, appending extra events
-// (the violating macro-step's, which never becomes a frontier item).
-func (n *scPathNode) toTrace(extra []trace.Event) *trace.Trace {
-	total := len(extra)
+// replay rebuilds the trace of the path ending at n by re-running its
+// macro steps with event recording on: linear in the witness length,
+// and the only place the SC engine builds trace events.
+func (s *System) replay(n *scPathNode) *trace.Trace {
+	var chain []*scPathNode
 	for m := n; m != nil; m = m.parent {
-		total += len(m.events)
+		chain = append(chain, m)
 	}
-	events := make([]trace.Event, total)
-	i := total - len(extra)
-	copy(events[i:], extra)
-	for m := n; m != nil; m = m.parent {
-		i -= len(m.events)
-		copy(events[i:i+len(m.events)], m.events)
+	oc := s.initClosure(s.Init(), recEvents)[chain[len(chain)-1].idx]
+	events := append([]trace.Event{}, oc.log.events...)
+	for i := len(chain) - 2; i >= 0; i-- {
+		oc = s.macroStep(&oc.cfg, int(chain[i].proc), recEvents, nil)[chain[i].idx]
+		events = append(events, oc.log.events...)
 	}
 	return &trace.Trace{Events: events}
 }
@@ -185,7 +187,7 @@ func (n *scPathNode) toTrace(extra []trace.Event) *trace.Trace {
 // scItem is one frontier item: a configuration plus the search
 // coordinates it is entered with.
 type scItem struct {
-	cfg      *Config
+	cfg      Config
 	path     *scPathNode
 	depth    int
 	contexts int
@@ -194,7 +196,7 @@ type scItem struct {
 }
 
 // checker is the shared state of one Check. Counters are atomics the
-// workers update directly; the terminal artifacts (stop-mode trace,
+// workers update directly; the terminal artifacts (stop-mode path,
 // target flag, census minimum) go under stopMu.
 type checker struct {
 	sys     *System
@@ -210,25 +212,27 @@ type checker struct {
 	incomplete  atomic.Bool
 
 	stopMu        sync.Mutex
-	stopTrace     *trace.Trace
+	stopPath      *scPathNode
 	targetReached bool
 	// bestVFP is the smallest violation fingerprint of the census, the
-	// schedule-independent witness tie-break; bestTrace is its path,
+	// schedule-independent witness tie-break; bestPath is its path,
 	// kept only by a one-worker pool, whose paths are fixed (a wider
 	// pool regenerates it, see regenWitness). directed/stopAtVFP turn
 	// the census into that regeneration run.
 	bestVFP   uint64
-	bestTrace *trace.Trace
+	bestPath  *scPathNode
 	directed  bool
 	stopAtVFP uint64
 
 	// Per-worker reusable scratch: the zero-alloc encode+probe
-	// guarantee holds per worker, and kids collects an expansion's
-	// children before they are pushed in reverse.
+	// guarantee holds per worker; outs receives one macro step's
+	// outcomes, and kids/links collect an expansion's children and
+	// their path links before they are pushed in reverse.
 	bufs   [][]byte
-	deads  [][]int
 	orders [][]int
+	outs   [][]outcome
 	kids   [][]scItem
+	links  [][]scPathNode
 
 	// Reduced-search state (Options.Reduce, always one worker): the
 	// visited maps store the first-visit sleep mask per state
@@ -263,9 +267,10 @@ func (s *System) newChecker(opts Options, workers int) *checker {
 		workers: workers,
 		bestVFP: ^uint64(0),
 		bufs:    make([][]byte, workers),
-		deads:   make([][]int, workers),
 		orders:  make([][]int, workers),
+		outs:    make([][]outcome, workers),
 		kids:    make([][]scItem, workers),
+		links:   make([][]scPathNode, workers),
 	}
 	switch {
 	case !opts.Reduce:
@@ -319,12 +324,12 @@ func (c *checker) run() Result {
 	var res Result
 	var roots []scItem
 	initWitness := false
-	for _, oc := range c.sys.initClosure(c.sys.Init()) {
+	for i, oc := range c.sys.initClosure(c.sys.Init(), 0) {
 		if oc.violation {
 			res.Violation = true
 			res.Violations++
 			if res.Trace == nil {
-				res.Trace = &trace.Trace{Events: oc.events}
+				res.Trace = c.sys.replay(&scPathNode{idx: int32(i)})
 				initWitness = true
 			}
 			if !c.opts.CensusViolations {
@@ -332,7 +337,7 @@ func (c *checker) run() Result {
 			}
 			continue
 		}
-		roots = append(roots, scItem{cfg: oc.cfg, path: &scPathNode{events: oc.events}})
+		roots = append(roots, scItem{cfg: oc.cfg, path: &scPathNode{idx: int32(i)}})
 	}
 	slices.Reverse(roots)
 
@@ -350,8 +355,8 @@ func (c *checker) run() Result {
 	res.Violations += int(c.violations.Load())
 	res.Violation = res.Violations > 0
 	res.TargetReached = c.targetReached
-	if res.Trace == nil {
-		res.Trace = c.stopTrace
+	if res.Trace == nil && c.stopPath != nil {
+		res.Trace = c.sys.replay(c.stopPath)
 	}
 	if err != nil && !errors.Is(err, errStopSearch) {
 		res.TimedOut = true
@@ -360,9 +365,10 @@ func (c *checker) run() Result {
 		!res.TargetReached && !(res.Violation && !c.opts.CensusViolations)
 	if c.opts.CensusViolations && !c.directed && c.violations.Load() > 0 &&
 		!initWitness && !res.TargetReached && !res.TimedOut {
-		res.Trace = c.bestTrace
 		if c.workers > 1 {
 			res.Trace = c.sys.regenWitness(c.opts, c.bestVFP)
+		} else {
+			res.Trace = c.sys.replay(c.bestPath)
 		}
 	}
 	return res
@@ -398,13 +404,13 @@ func (c *checker) expand(ctx context.Context, w int, it scItem, push func(scItem
 	// Order-independent dedup (mirroring ra): under a context bound the
 	// contexts-used coordinate is folded into the key, so whether a node
 	// is explored depends only on the node itself, never on discovery
-	// order. appendKey ends with the current-process value, so one more
+	// order. DedupKey ends with the current-process value, so one more
 	// appended value stays injective within a run.
-	buf, dead := c.sys.dedupKey(it.cfg, c.bufs[w][:0], c.deads[w])
+	buf := c.sys.DedupKey(&it.cfg, c.bufs[w][:0])
 	if c.opts.MaxContexts > 0 {
 		buf = appendVal(buf, lang.Value(it.contexts))
 	}
-	c.bufs[w], c.deads[w] = buf, dead
+	c.bufs[w] = buf
 	h := fp.Hash64(buf)
 	if !c.visited.VisitHash(h, buf) {
 		c.dedupHits.Add(1)
@@ -415,11 +421,11 @@ func (c *checker) expand(ctx context.Context, w int, it scItem, push func(scItem
 	if err := c.enter(it); err != nil {
 		return err
 	}
-	if c.sys.targetAt(it.cfg, c.opts.TargetLabels) {
+	if c.sys.targetAt(&it.cfg, c.opts.TargetLabels) {
 		c.stopMu.Lock()
 		if !c.targetReached {
 			c.targetReached = true
-			c.stopTrace = it.path.toTrace(nil)
+			c.stopPath = it.path
 		}
 		c.stopMu.Unlock()
 		return errStopSearch
@@ -428,8 +434,8 @@ func (c *checker) expand(ctx context.Context, w int, it scItem, push func(scItem
 	// are explored before heavily preempted ones, so counterexamples
 	// that deviate from a serial run in few, late places (the typical
 	// shape of mutual-exclusion bugs) are found early.
-	cfg := it.cfg
-	kids := c.kids[w][:0]
+	cfg := &it.cfg
+	kids, links := c.kids[w][:0], c.links[w][:0]
 	ord := 0 // macro-step ordinal within this node, for MixOrdinal
 	for _, p := range c.scanOrder(cfg, w) {
 		if c.sys.status(cfg, p) != statusReady {
@@ -443,26 +449,26 @@ func (c *checker) expand(ctx context.Context, w int, it scItem, push func(scItem
 			}
 		}
 		c.cMacroSteps.Inc()
-		for _, oc := range c.sys.macroStep(cfg, p) {
+		outs := c.sys.macroStep(cfg, p, 0, c.outs[w][:0])
+		for i, oc := range outs {
 			vord := ord
 			ord++
 			c.transitions.Add(1)
 			c.cTransitions.Inc()
+			link := scPathNode{parent: it.path, proc: int32(p), idx: int32(i)}
 			if oc.violation {
-				if err := c.violation(fp.MixOrdinal(h, vord), it.path, oc.events); err != nil {
+				if err := c.violation(fp.MixOrdinal(h, vord), link); err != nil {
 					return err
 				}
 				continue
 			}
-			kids = append(kids, scItem{
-				cfg:      oc.cfg,
-				path:     &scPathNode{parent: it.path, events: oc.events},
-				depth:    it.depth + 1,
-				contexts: nc,
-			})
+			kids = append(kids, scItem{cfg: oc.cfg, depth: it.depth + 1, contexts: nc})
+			links = append(links, link)
 		}
+		clear(outs)
+		c.outs[w] = outs
 	}
-	c.kids[w] = pushReversed(kids, push)
+	c.kids[w], c.links[w] = pushReversed(kids, links, push)
 	return nil
 }
 
@@ -479,9 +485,9 @@ func (c *checker) enter(it scItem) error {
 	return nil
 }
 
-// violation records one violating macro-step with fingerprint vfp out
-// of the state at path; a non-nil error stops the search.
-func (c *checker) violation(vfp uint64, path *scPathNode, events []trace.Event) error {
+// violation records the violating macro step ending path link; a
+// non-nil error stops the search.
+func (c *checker) violation(vfp uint64, link scPathNode) error {
 	c.violations.Add(1)
 	c.stopMu.Lock()
 	defer c.stopMu.Unlock()
@@ -496,25 +502,29 @@ func (c *checker) violation(vfp uint64, path *scPathNode, events []trace.Event) 
 		if vfp < c.bestVFP {
 			c.bestVFP = vfp
 			if c.workers == 1 {
-				c.bestTrace = path.toTrace(events)
+				c.bestPath = &link
 			}
 		}
 		return nil
 	}
-	if c.stopTrace == nil {
-		c.stopTrace = path.toTrace(events)
+	if c.stopPath == nil {
+		c.stopPath = &link
 	}
 	return errStopSearch
 }
 
-// pushReversed pushes kids last to first, so the owner's LIFO pops
-// them in scan order, and returns the cleared slice for reuse.
-func pushReversed(kids []scItem, push func(scItem)) []scItem {
+// pushReversed gives the kids their path links, all backed by one
+// allocation, and pushes them last to first, so the owner's LIFO pops
+// them in scan order. It returns the cleared slices for reuse.
+func pushReversed(kids []scItem, links []scPathNode, push func(scItem)) ([]scItem, []scPathNode) {
+	nodes := slices.Clone(links)
 	for i := len(kids) - 1; i >= 0; i-- {
+		kids[i].path = &nodes[i]
 		push(kids[i])
 	}
 	clear(kids)
-	return kids[:0]
+	clear(links)
+	return kids[:0], links[:0]
 }
 
 // scanOrder returns the canonical process scan order at cfg in worker
@@ -595,7 +605,7 @@ func (s *System) targetAt(c *Config, targets map[string]string) bool {
 		if pi < 0 {
 			return false
 		}
-		if s.Prog.Procs[pi].LabelAt(c.pcs[pi]) != label {
+		if s.Prog.Procs[pi].LabelAt(s.pc(c, pi)) != label {
 			return false
 		}
 	}

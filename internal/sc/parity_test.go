@@ -47,11 +47,10 @@ func TestCheckDedupProbeZeroAllocs(t *testing.T) {
 	for _, exact := range []bool{false, true} {
 		set := fp.NewSet(exact)
 		buf := make([]byte, 0, 256)
-		var dead []int
-		buf, dead = sys.dedupKey(c, buf[:0], dead)
+		buf = sys.DedupKey(c, buf[:0])
 		set.Visit(buf, 0)
 		allocs := testing.AllocsPerRun(500, func() {
-			buf, dead = sys.dedupKey(c, buf[:0], dead[:0])
+			buf = sys.DedupKey(c, buf[:0])
 			set.Visit(buf, 0)
 		})
 		if allocs != 0 {

@@ -30,7 +30,6 @@ import (
 
 	"ravbmc/internal/fp"
 	"ravbmc/internal/lang"
-	"ravbmc/internal/trace"
 )
 
 // bitset is a fixed-width bit vector over shared locations (scalars
@@ -103,10 +102,6 @@ type reduceTables struct {
 // nLocs returns the number of shared locations: scalars plus arrays.
 func (s *System) nLocs() int { return len(s.Prog.Vars) + len(s.Prog.Arrays) }
 
-// locOfVar maps a scalar variable to its location bit; locOfArr an array.
-func (s *System) locOfVar(name string) int { return s.VarIdx[name] }
-func (s *System) locOfArr(name string) int { return len(s.Prog.Vars) + s.ArrIdx[name] }
-
 // reduction returns the lazily-built dependence tables. The sync.Once
 // makes it safe to build while concurrent searches share the System.
 func (s *System) reduction() *reduceTables {
@@ -120,20 +115,21 @@ func (s *System) ReduceApplies() bool { return s.reduction().ok }
 
 // ownFoot adds the shared accesses of one instruction to f.
 func (s *System) ownFoot(f locFoot, in *lang.Instr) {
+	arr := len(s.Prog.Vars) + in.VarSlot // location of an array operand
 	switch in.Op {
 	case lang.OpReadVar:
-		f.rd.set(s.locOfVar(in.Var))
+		f.rd.set(in.VarSlot)
 	case lang.OpWriteVar:
-		f.wr.set(s.locOfVar(in.Var))
+		f.wr.set(in.VarSlot)
 	case lang.OpCASVar:
 		// A CAS reads and writes its variable; a parked CAS is also
 		// re-enabled by writes to it, which the read bit captures.
-		f.rd.set(s.locOfVar(in.Var))
-		f.wr.set(s.locOfVar(in.Var))
+		f.rd.set(in.VarSlot)
+		f.wr.set(in.VarSlot)
 	case lang.OpLoadArrEl:
-		f.rd.set(s.locOfArr(in.Var))
+		f.rd.set(arr)
 	case lang.OpStoreArrEl:
-		f.wr.set(s.locOfArr(in.Var))
+		f.wr.set(arr)
 	}
 }
 
@@ -256,7 +252,7 @@ func (e *checker) persistentSet(c *Config) uint64 {
 	n := len(e.sys.Prog.Procs)
 	var ready, live uint64
 	for p := 0; p < n; p++ {
-		in := &e.sys.Prog.Procs[p].Code[c.pcs[p]]
+		in := &e.sys.Prog.Procs[p].Code[e.sys.pc(c, p)]
 		switch e.sys.status(c, p) {
 		case statusTerminated:
 		case statusStuck:
@@ -291,12 +287,12 @@ func (e *checker) persistentSet(c *Config) uint64 {
 			continue
 		}
 		inP |= procBit(p)
-		pf := r.step[p][c.pcs[p]]
+		pf := r.step[p][e.sys.pc(c, p)]
 		for q := 0; q < n; q++ {
 			if q == p || inP&procBit(q) != 0 || live&procBit(q) == 0 {
 				continue
 			}
-			if r.future[q][c.pcs[q]].conflicts(pf) {
+			if r.future[q][e.sys.pc(c, q)].conflicts(pf) {
 				queue = append(queue, q)
 			}
 		}
@@ -305,33 +301,20 @@ func (e *checker) persistentSet(c *Config) uint64 {
 	return inP & ready
 }
 
-// stepEventsFoot fills e.execFoot with the dynamic shared footprint of
-// one executed macro step, read off its trace events (precise per
+// stepFoot fills e.execFoot with the dynamic shared footprint of one
+// executed macro step, as the interpreter recorded it (precise per
 // nondeterministic branch, unlike the static tables).
-func (e *checker) stepEventsFoot(events []trace.Event) locFoot {
+func (e *checker) stepFoot(foot []int32) locFoot {
 	if e.execFoot.rd == nil {
 		e.execFoot = newLocFoot(e.sys.nLocs())
 	}
 	e.execFoot.rd.clear()
 	e.execFoot.wr.clear()
-	for i := range events {
-		ev := &events[i]
-		switch ev.Kind {
-		case trace.KindRead:
-			if ev.HasIdx {
-				e.execFoot.rd.set(e.sys.locOfArr(ev.Var))
-			} else {
-				e.execFoot.rd.set(e.sys.locOfVar(ev.Var))
-			}
-		case trace.KindWrite:
-			if ev.HasIdx {
-				e.execFoot.wr.set(e.sys.locOfArr(ev.Var))
-			} else {
-				e.execFoot.wr.set(e.sys.locOfVar(ev.Var))
-			}
-		case trace.KindCAS:
-			e.execFoot.rd.set(e.sys.locOfVar(ev.Var))
-			e.execFoot.wr.set(e.sys.locOfVar(ev.Var))
+	for _, a := range foot {
+		if a&1 == 0 {
+			e.execFoot.rd.set(int(a / 2))
+		} else {
+			e.execFoot.wr.set(int(a / 2))
 		}
 	}
 	return e.execFoot
@@ -350,7 +333,7 @@ func (e *checker) filterSleep(mask uint64, stepFoot locFoot, c *Config) uint64 {
 		if mask&1 == 0 {
 			continue
 		}
-		if r.step[q][c.pcs[q]].conflicts(stepFoot) {
+		if r.step[q][e.sys.pc(c, q)].conflicts(stepFoot) {
 			out &^= procBit(q)
 		}
 	}
@@ -400,10 +383,10 @@ const (
 // context bound is always unbounded here, so the dedup key carries no
 // contexts coordinate.
 func (e *checker) expandReduced(it scItem, push func(scItem)) error {
-	key, dead := e.sys.dedupKey(it.cfg, e.bufs[0][:0], e.deads[0])
-	e.bufs[0], e.deads[0] = key, dead
+	key := e.sys.DedupKey(&it.cfg, e.bufs[0][:0])
+	e.bufs[0] = key
 	h := fp.Hash64(key)
-	pset := e.persistentSet(it.cfg)
+	pset := e.persistentSet(&it.cfg)
 	var explore, exploredBefore uint64
 	prev, revisit := e.lookupMask(h, key)
 	if !revisit {
@@ -434,34 +417,39 @@ func (e *checker) expandReduced(it scItem, push func(scItem)) error {
 		return nil
 	}
 	running := it.sleep | exploredBefore
-	kids := e.kids[0][:0]
+	cfg := &it.cfg
+	kids, links := e.kids[0][:0], e.links[0][:0]
 	ord := 0
-	for _, p := range e.scanOrder(it.cfg, 0) {
+	for _, p := range e.scanOrder(cfg, 0) {
 		if explore&procBit(p) == 0 {
 			continue
 		}
 		e.cMacroSteps.Inc()
-		for _, oc := range e.sys.macroStep(it.cfg, p) {
+		outs := e.sys.macroStep(cfg, p, recFoot, e.outs[0][:0])
+		for i, oc := range outs {
 			vord := ord
 			ord++
 			e.transitions.Add(1)
 			e.cTransitions.Inc()
+			link := scPathNode{parent: it.path, proc: int32(p), idx: int32(i)}
 			if oc.violation {
-				if err := e.violation(fp.MixOrdinal(h, vord), it.path, oc.events); err != nil {
+				if err := e.violation(fp.MixOrdinal(h, vord), link); err != nil {
 					return err
 				}
 				continue
 			}
 			kids = append(kids, scItem{
 				cfg:   oc.cfg,
-				path:  &scPathNode{parent: it.path, events: oc.events},
 				depth: it.depth + 1,
-				sleep: e.filterSleep(running, e.stepEventsFoot(oc.events), it.cfg),
+				sleep: e.filterSleep(running, e.stepFoot(oc.log.foot), cfg),
 			})
+			links = append(links, link)
 		}
+		clear(outs)
+		e.outs[0] = outs
 		running |= procBit(p)
 	}
-	e.kids[0] = pushReversed(kids, push)
+	e.kids[0], e.links[0] = pushReversed(kids, links, push)
 	return nil
 }
 

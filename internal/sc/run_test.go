@@ -14,7 +14,7 @@ func TestInitClosureRunsLocalPrefixes(t *testing.T) {
 	p.AddProc("p0", "r").Add(lang.NondetS("r", 0, 1), lang.WriteS("x", lang.R("r")))
 	p.AddProc("p1", "s").Add(lang.AssignS("s", lang.C(7)), lang.ReadS("s", "x"))
 	sys := NewSystem(lang.MustCompile(p))
-	ocs := sys.initClosure(sys.Init())
+	ocs := sys.initClosure(sys.Init(), 0)
 	if len(ocs) != 2 { // two nondet values for p0; p1 deterministic
 		t.Fatalf("initial closure produced %d configs, want 2", len(ocs))
 	}
@@ -22,7 +22,7 @@ func TestInitClosureRunsLocalPrefixes(t *testing.T) {
 		if oc.violation {
 			t.Fatal("no violations expected in prefixes")
 		}
-		if got := sys.RegValue(oc.cfg, "p1", "s"); got != 7 {
+		if got := sys.RegValue(&oc.cfg, "p1", "s"); got != 7 {
 			t.Errorf("p1 local prefix not executed: s=%d", got)
 		}
 	}

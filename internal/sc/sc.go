@@ -18,26 +18,27 @@ package sc
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"ravbmc/internal/lang"
 )
 
 // System pre-computes indices for SC execution of a compiled program.
-// Shared arrays and all register files are flattened into single slices:
-// configurations are cloned constantly during search, and three
-// contiguous copies beat dozens of small ones.
+// A configuration is one flat slice of values (see Config): it is
+// cloned for every successor during search, and one contiguous copy
+// beats several.
 type System struct {
 	Prog   *lang.CompiledProgram
 	VarIdx map[string]int
 	ArrIdx map[string]int
 	Arrays []lang.ArrayDecl
 	RegIdx []map[string]int
-	// arrOff[i] is the offset of array i in Config.arr; arrTotal the
-	// flattened length. regOff likewise for per-process register files.
-	arrOff   []int
-	arrTotal int
-	regOff   []int
-	regTotal int
+	// Layout of Config.v: shared scalars from 0, array i from arrOff[i],
+	// the pcs from pcOff, and the registers of process p in
+	// [regOff[p], regOff[p+1]); regOff[len(Procs)] is the total length.
+	arrOff []int
+	pcOff  int
+	regOff []int
 
 	// Partial-order-reduction dependence tables, built lazily on first
 	// reduced search (see reduce.go).
@@ -50,48 +51,44 @@ func NewSystem(cp *lang.CompiledProgram) *System {
 	for i, v := range cp.Vars {
 		s.VarIdx[v] = i
 	}
+	off := len(cp.Vars)
 	for i, a := range cp.Arrays {
 		s.ArrIdx[a.Name] = i
 		s.Arrays = append(s.Arrays, a)
-		s.arrOff = append(s.arrOff, s.arrTotal)
-		s.arrTotal += a.Size
+		s.arrOff = append(s.arrOff, off)
+		off += a.Size
 	}
+	s.pcOff = off
+	off += len(cp.Procs)
 	for _, pr := range cp.Procs {
 		m := make(map[string]int, len(pr.Regs))
 		for i, r := range pr.Regs {
 			m[r] = i
 		}
 		s.RegIdx = append(s.RegIdx, m)
-		s.regOff = append(s.regOff, s.regTotal)
-		s.regTotal += len(pr.Regs)
+		s.regOff = append(s.regOff, off)
+		off += len(pr.Regs)
 	}
+	s.regOff = append(s.regOff, off)
 	return s
 }
 
-// Config is an SC machine configuration: one shared store, per-process
-// program counters and register files, and the identity of the process
-// holding the current context.
+// Config is an SC machine configuration: the shared store, per-process
+// program counters and register files, all in one slice laid out as
+// System describes, plus the identity of the process holding the
+// current context.
 type Config struct {
-	mem  []lang.Value // shared scalars
-	arr  []lang.Value // all shared arrays, flattened
-	pcs  []int
-	regs []lang.Value // all register files, flattened
-	cur  int          // process holding the context; -1 before the first step
+	v   []lang.Value // scalars | array cells | pcs | register files
+	cur int          // process holding the context; -1 before the first step
 }
 
 // Init returns the initial configuration: all variables, array cells and
-// registers 0 (or the array's declared init value).
+// registers 0 (or the array's declared init value), every pc at entry.
 func (s *System) Init() *Config {
-	c := &Config{
-		mem:  make([]lang.Value, len(s.Prog.Vars)),
-		arr:  make([]lang.Value, s.arrTotal),
-		pcs:  make([]int, len(s.Prog.Procs)),
-		regs: make([]lang.Value, s.regTotal),
-		cur:  -1,
-	}
+	c := &Config{v: make([]lang.Value, s.regOff[len(s.regOff)-1]), cur: -1}
 	for i, a := range s.Arrays {
 		if a.Init != 0 {
-			cells := c.arr[s.arrOff[i] : s.arrOff[i]+a.Size]
+			cells := c.v[s.arrOff[i] : s.arrOff[i]+a.Size]
 			for j := range cells {
 				cells[j] = a.Init
 			}
@@ -100,63 +97,28 @@ func (s *System) Init() *Config {
 	return c
 }
 
-func (c *Config) clone() *Config {
-	return &Config{
-		mem:  append([]lang.Value(nil), c.mem...),
-		arr:  append([]lang.Value(nil), c.arr...),
-		pcs:  append([]int(nil), c.pcs...),
-		regs: append([]lang.Value(nil), c.regs...),
-		cur:  c.cur,
-	}
+func (c Config) clone() Config {
+	return Config{v: slices.Clone(c.v), cur: c.cur}
 }
 
-// reg returns the flattened index of register ri of process p.
-func (s *System) reg(p, ri int) int { return s.regOff[p] + ri }
+// pc returns the program counter of process p.
+func (s *System) pc(c *Config, p int) int { return int(c.v[s.pcOff+p]) }
+
+// regs returns the register file of process p, aliasing c.
+func (s *System) regs(c *Config, p int) []lang.Value {
+	return c.v[s.regOff[p]:s.regOff[p+1]]
+}
 
 // Key returns a canonical binary encoding of the full configuration.
-func (c *Config) Key() string { return string(c.appendKey(nil, nil)) }
+func (c *Config) Key() string {
+	buf := appendVals(nil, c.v)
+	return string(appendVal(buf, lang.Value(c.cur+1)))
+}
 
-// appendKey encodes the configuration into buf; when dead is non-nil it
-// holds, per process, the flattened start offset of the process's
-// registers or -1 when the process has terminated (its registers are
-// dead and masked out), with a final total-length sentinel.
-func (c *Config) appendKey(buf []byte, dead []int) []byte {
-	for _, v := range c.mem {
+func appendVals(buf []byte, vs []lang.Value) []byte {
+	for _, v := range vs {
 		buf = appendVal(buf, v)
 	}
-	for _, v := range c.arr {
-		buf = appendVal(buf, v)
-	}
-	for _, pc := range c.pcs {
-		buf = appendVal(buf, lang.Value(pc))
-	}
-	if dead == nil {
-		for _, v := range c.regs {
-			buf = appendVal(buf, v)
-		}
-	} else {
-		for p := 0; p < len(dead)-1; p++ {
-			off := dead[p]
-			if off < 0 {
-				buf = append(buf, 0xFD)
-				continue
-			}
-			end := dead[p+1]
-			if end < 0 {
-				// Find the next live offset or the sentinel.
-				for q := p + 2; ; q++ {
-					if dead[q] >= 0 {
-						end = dead[q]
-						break
-					}
-				}
-			}
-			for _, v := range c.regs[off:end] {
-				buf = appendVal(buf, v)
-			}
-		}
-	}
-	buf = appendVal(buf, lang.Value(c.cur+1))
 	return buf
 }
 
@@ -172,31 +134,35 @@ func appendVal(buf []byte, v lang.Value) []byte {
 	return append(buf, b[:]...)
 }
 
-// DedupKey appends the search key to buf: terminated processes'
-// registers are dead and therefore masked.
+// DedupKey appends the search key to buf: the configuration as Key
+// encodes it, except that a terminated process's registers are masked
+// as the single byte 0xFD. A live process's registers are encoded
+// together with those of the terminated processes that directly follow
+// it, so only a terminated process with no live process before it
+// loses its registers from the key.
 func (s *System) DedupKey(c *Config, buf []byte) []byte {
-	out, _ := s.dedupKey(c, buf, nil)
-	return out
+	buf = appendVals(buf, c.v[:s.regOff[0]])
+	n := len(s.Prog.Procs)
+	for p := 0; p < n; p++ {
+		if s.terminated(c, p) {
+			buf = append(buf, 0xFD)
+			continue
+		}
+		end := p + 1
+		for end < n && s.terminated(c, end) {
+			end++
+		}
+		buf = appendVals(buf, c.v[s.regOff[p]:s.regOff[end]])
+	}
+	return appendVal(buf, lang.Value(c.cur+1))
 }
 
-// dedupKey is DedupKey with a caller-owned scratch slice for the
-// per-process dead-register offsets; the (possibly grown) scratch is
-// returned for reuse, so hot callers pay no allocation per state.
-func (s *System) dedupKey(c *Config, buf []byte, scratch []int) ([]byte, []int) {
-	dead := scratch[:0]
-	for p := range s.Prog.Procs {
-		if s.Prog.Procs[p].Terminated(c.pcs[p]) {
-			dead = append(dead, -1)
-		} else {
-			dead = append(dead, s.regOff[p])
-		}
-	}
-	dead = append(dead, s.regTotal)
-	return c.appendKey(buf, dead), dead
+func (s *System) terminated(c *Config, p int) bool {
+	return s.Prog.Procs[p].Terminated(s.pc(c, p))
 }
 
 // Mem returns the value of the named shared variable.
-func (s *System) Mem(c *Config, name string) lang.Value { return c.mem[s.VarIdx[name]] }
+func (s *System) Mem(c *Config, name string) lang.Value { return c.v[s.VarIdx[name]] }
 
 // RegValue returns the value of the named register of the named process.
 func (s *System) RegValue(c *Config, proc, reg string) lang.Value {
@@ -205,7 +171,7 @@ func (s *System) RegValue(c *Config, proc, reg string) lang.Value {
 		return 0
 	}
 	if i, ok := s.RegIdx[pi][reg]; ok {
-		return c.regs[s.reg(pi, i)]
+		return s.regs(c, pi)[i]
 	}
 	return 0
 }
@@ -213,7 +179,7 @@ func (s *System) RegValue(c *Config, proc, reg string) lang.Value {
 // Terminated reports whether every process has terminated.
 func (s *System) Terminated(c *Config) bool {
 	for p := range s.Prog.Procs {
-		if !s.Prog.Procs[p].Terminated(c.pcs[p]) {
+		if !s.terminated(c, p) {
 			return false
 		}
 	}
@@ -232,17 +198,17 @@ const (
 // status inspects p without modifying c. It must be called only at
 // quiescent points (pc at a visible instruction, term, or assume).
 func (s *System) status(c *Config, p int) procStatus {
-	in := &s.Prog.Procs[p].Code[c.pcs[p]]
+	in := &s.Prog.Procs[p].Code[s.pc(c, p)]
 	switch in.Op {
 	case lang.OpTermProc:
 		return statusTerminated
 	case lang.OpAssumeCond:
-		if in.Cond.Eval(s.env(c, p)) == 0 {
+		if in.CondS.Eval(s.regs(c, p)) == 0 {
 			return statusStuck
 		}
 		return statusReady
 	case lang.OpCASVar:
-		if c.mem[s.VarIdx[in.Var]] != in.Old.Eval(s.env(c, p)) {
+		if c.v[in.VarSlot] != in.OldS.Eval(s.regs(c, p)) {
 			return statusStuck
 		}
 		return statusReady
@@ -251,27 +217,12 @@ func (s *System) status(c *Config, p int) procStatus {
 	}
 }
 
-func (s *System) env(c *Config, p int) func(string) lang.Value {
-	return func(name string) lang.Value {
-		if i, ok := s.RegIdx[p][name]; ok {
-			return c.regs[s.reg(p, i)]
-		}
-		return 0
-	}
-}
-
 // InitialConfigs returns the quiescent initial configurations: the
 // initial state with every process's local prefix executed, one per
 // combination of initial nondeterministic choices. Prefixes that fail
 // an assertion are dropped.
 func (s *System) InitialConfigs() []*Config {
-	var out []*Config
-	for _, oc := range s.initClosure(s.Init()) {
-		if !oc.violation {
-			out = append(out, oc.cfg)
-		}
-	}
-	return out
+	return configs(s.initClosure(s.Init(), 0))
 }
 
 // MacroSteps exposes the macro-step successors of process p, for
@@ -281,10 +232,19 @@ func (s *System) MacroSteps(c *Config, p int) []*Config {
 	if s.status(c, p) != statusReady {
 		return nil
 	}
-	var out []*Config
-	for _, oc := range s.macroStep(c, p) {
+	var buf [8]outcome
+	return configs(s.macroStep(c, p, 0, buf[:0]))
+}
+
+// configs returns the non-violating outcomes' configurations, backed
+// by one allocation.
+func configs(ocs []outcome) []*Config {
+	cfgs := make([]Config, 0, len(ocs))
+	out := make([]*Config, 0, len(ocs))
+	for _, oc := range ocs {
 		if !oc.violation {
-			out = append(out, oc.cfg)
+			cfgs = append(cfgs, oc.cfg)
+			out = append(out, &cfgs[len(cfgs)-1])
 		}
 	}
 	return out
