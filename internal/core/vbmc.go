@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -159,12 +160,13 @@ type Result struct {
 // solver, the driver layers two goal-directed devices on top of the
 // paper's reduction, neither of which changes the decided problem:
 //
-//   - an under-approximate probe: the translation restricted to tracked
-//     writes with stamps at most 2 above the view is checked first (its
-//     guesses are a subset of the full translation's, so a bug it finds
-//     is genuine);
-//   - iterative context deepening: within each pass, small context
-//     bounds are searched before the full K+n bound.
+//   - under-approximate probes: translations restricted to tracked
+//     writes with stamps at most 1 or 2 above the view are searched
+//     first (their guesses are a subset of the full translation's, so a
+//     bug they find is genuine);
+//   - iterative context deepening without restarts: small context
+//     bounds are searched before the full K+n bound, each translation
+//     continuing its search from one bound to the next (see schedule).
 func Run(prog *lang.Program, opts Options) (Result, error) {
 	rec := opts.Obs
 	span := rec.StartPhase("validate")
@@ -264,81 +266,30 @@ func Run(prog *lang.Program, opts Options) (Result, error) {
 		return out
 	}
 
-	if !opts.NoProbes {
-		tiers := []struct {
-			v         variant
-			maxStates int
-			slice     time.Duration
-		}{
-			// Window 1 is a cheap lottery ticket: it catches bugs whose
-			// modification orders follow the merge order, and costs
-			// little when it does not.
-			{variant{stampWindow: 1, forceTracked: true}, 150_000, opts.Timeout / 8},
-			{variant{stampWindow: 2, forceTracked: true}, 600_000, opts.Timeout / 3},
-		}
-		for i, tier := range tiers {
-			phase := fmt.Sprintf("probe%d", i+1)
-			rec.Counter("core.probes_run").Inc()
-			span = rec.StartPhase(phase + ".translate")
-			probeProg, err := translateVariant(src, opts.K, tier.v)
-			span.End()
-			if err != nil {
-				return Result{}, err
-			}
-			probeOpts := sc.Options{MaxContexts: bound, MaxStates: tier.maxStates, Ctx: opts.Ctx, ExactDedup: opts.ExactDedup, Reduce: opts.Reduce, Workers: opts.Workers, StealSeed: opts.StealSeed, Obs: rec}
-			if opts.MaxStates > 0 && opts.MaxStates < probeOpts.MaxStates {
-				probeOpts.MaxStates = opts.MaxStates
-			}
-			if opts.Timeout > 0 {
-				probeOpts.Deadline = time.Now().Add(tier.slice)
-			}
-			probeStart := time.Now()
-			res := checkDeepening(probeProg, bound, probeOpts, rec, phase)
-			probeSecs := time.Since(probeStart).Seconds()
-			rec.Histogram("core.probe_seconds", obs.DurationBuckets).Observe(probeSecs)
-			if probeSecs > 0 && res.States > 0 {
-				rec.Histogram("core.probe_states_per_sec", obs.RateBuckets).
-					Observe(float64(res.States) / probeSecs)
-			}
-			out.States += res.States
-			out.Transitions += res.Transitions
-			if res.Violation {
-				rec.Counter("core.probe_hits").Inc()
-				rec.Gauge("core.probe_hit_tier").Set(int64(i + 1))
-				out.Verdict = Unsafe
-				out.Trace = res.Trace
-				span = rec.StartPhase("translate")
-				translated, terr := Translate(src, opts.K)
-				span.End()
-				if terr == nil {
-					out.TranslatedStmts = translated.CountStmts()
-					rec.Gauge("translate.stmts").Set(int64(out.TranslatedStmts))
-				}
-				return finish(out), nil
-			}
-			rec.Counter("core.probe_misses").Inc()
-		}
-	}
-
-	span = rec.StartPhase("translate")
-	translated, err := Translate(src, opts.K)
-	span.End()
+	sch := newSchedule(src, opts, bound, deadline)
+	res, hit, err := sch.run()
 	if err != nil {
 		return Result{}, err
 	}
-	out.TranslatedStmts = translated.CountStmts()
-	rec.Gauge("translate.stmts").Set(int64(out.TranslatedStmts))
-	scOpts := sc.Options{MaxContexts: bound, MaxStates: opts.MaxStates, Deadline: deadline, Ctx: opts.Ctx, ExactDedup: opts.ExactDedup, Reduce: opts.Reduce, Workers: opts.Workers, StealSeed: opts.StealSeed, Obs: rec}
-	finalStart := time.Now()
-	res := checkDeepening(translated, bound, scOpts, rec, "final")
-	finalSecs := time.Since(finalStart).Seconds()
-	rec.Histogram("core.final_search_seconds", obs.DurationBuckets).Observe(finalSecs)
-	if finalSecs > 0 && res.States > 0 {
-		rec.Histogram("core.final_states_per_sec", obs.RateBuckets).
-			Observe(float64(res.States) / finalSecs)
+	out.States, out.Transitions = sch.states, sch.transitions
+	final := sch.tiers[len(sch.tiers)-1]
+	if hit != final {
+		// A probe found the bug: the full translation is still built,
+		// for its size.
+		rec.Counter("core.probe_hits").Inc()
+		rec.Gauge("core.probe_hit_tier").Set(int64(hit.num))
+		out.Verdict = Unsafe
+		out.Trace = res.Trace
+		span = rec.StartPhase("translate")
+		translated, terr := Translate(src, opts.K)
+		span.End()
+		if terr == nil {
+			out.TranslatedStmts = translated.CountStmts()
+			rec.Gauge("translate.stmts").Set(int64(out.TranslatedStmts))
+		}
+		return finish(out), nil
 	}
-	out.States += res.States
-	out.Transitions += res.Transitions
+	out.TranslatedStmts = final.prog.CountStmts()
 	out.TimedOut = res.TimedOut
 	switch {
 	case res.Violation:
@@ -352,96 +303,361 @@ func Run(prog *lang.Program, opts Options) (Result, error) {
 	return finish(out), nil
 }
 
-// ladderCap is the per-round state budget of the restart ladder: no
-// single scheduling bias may starve the others, and the final uncapped
+// ladderCap is the per-rung state budget of the ladder: no single
+// scheduling bias may starve the others, and the final uncapped
 // full-bound run still decides SAFE exactly.
 const ladderCap = 150_000
 
-// checkDeepening compiles the translated program and model-checks it
-// with iterative context deepening: counterexamples typically need very
-// few contexts, and the k-context state space is far smaller than the
-// full one, so small bounds are searched first; the final full-bound
-// run still decides SAFE exactly. A rung that exhausts its context
-// bound without a violation (neither capped nor timed out) skips the
-// other process order at that bound: the visited node set does not
-// depend on the order (DESIGN.md §3c), so the twin cannot find
-// anything. Phase timings are recorded against rec under the given
-// phase prefix (phase+".compile", one phase+".deepen" span per ladder
-// round, phase+".search" for the final full-bound run).
-func checkDeepening(translated *lang.Program, bound int, scOpts sc.Options, rec *obs.Recorder, phase string) sc.Result {
-	span := rec.StartPhase(phase + ".compile")
-	cp, err := lang.Compile(translated)
+// probeTiers are the under-approximate translations searched before
+// [[P]]_K: their guesses are a subset of the full translation's, so a
+// bug they find is genuine. Window 1 is a cheap lottery ticket: it
+// catches bugs whose modification orders follow the merge order, and
+// costs little when it does not. share is the tier's fraction 1/share
+// of Timeout, a budget over all of its rungs.
+var probeTiers = []struct {
+	v         variant
+	maxStates int
+	share     time.Duration
+}{
+	{variant{stampWindow: 1, forceTracked: true}, 150_000, 8},
+	{variant{stampWindow: 2, forceTracked: true}, 600_000, 3},
+}
+
+// tier is one translation the schedule searches: a probe tier or the
+// final [[P]]_K. It is translated and compiled on first use.
+type tier struct {
+	phase     string // span prefix: "probe1", "probe2" or "final"
+	num       int    // probe tier number; 0 for the final translation
+	v         variant
+	maxStates int           // cap on the tier's full-bound search; 0 = none
+	slice     time.Duration // wall-clock budget over its rungs; 0 = none
+	used      time.Duration
+	prog      *lang.Program // nil until first use
+	sp        *space
+	twin      bool // prints like an earlier probe: all its rungs are shared
+	dead      bool // its slice ran out: its other rungs are skipped
+	states    int
+}
+
+// space is one distinct translated program and its search. Tiers whose
+// translations print identically share a space, so it is searched once.
+type space struct {
+	prog    *lang.Program
+	printed string // prog's text, printed on first comparison
+	sys     *sc.System
+	// srch is the resumable search of the ladder; nil when the schedule
+	// cannot resume (reduced or context-unbounded searches) and once a
+	// full-bound search has run. Once one of its rungs is capped or
+	// times out it stays spent, and the rungs above its bound run fresh.
+	srch    *sc.Searcher
+	states  int  // states srch has visited
+	covered int  // the largest ladder bound a rung exhausted
+	full    bool // a full-bound search of this space exhausted
+}
+
+// schedule is VBMC's flat probe schedule: the context bound is the
+// outer loop and the probe tier the inner one, so the cheapest rung of
+// every tier runs before any tier deepens; both probes' full-bound runs
+// follow the ladder, and the final translation's ladder and its
+// full-bound decider come last. Each space deepens its one Searcher
+// across its rungs instead of restarting. A rung that exhausts its
+// bound skips the other process order (the visited node set does not
+// depend on the order, DESIGN.md §3c); a capped rung runs the reversed
+// order afresh.
+type schedule struct {
+	src      *lang.Program
+	opts     Options
+	rec      *obs.Recorder
+	bound    int
+	deadline time.Time
+	ladder   bool // rungs at bounds 2..bound-1 exist
+	tiers    []*tier
+	spaces   []*space
+
+	states, transitions int
+	rounds              *obs.Counter
+	total               *obs.Gauge
+}
+
+func newSchedule(src *lang.Program, opts Options, bound int, deadline time.Time) *schedule {
+	s := &schedule{src: src, opts: opts, rec: opts.Obs, bound: bound, deadline: deadline,
+		ladder: !opts.Reduce && bound > 2}
+	if !opts.NoProbes {
+		for i, pt := range probeTiers {
+			t := &tier{phase: fmt.Sprintf("probe%d", i+1), num: i + 1, v: pt.v, maxStates: pt.maxStates}
+			if opts.MaxStates > 0 && opts.MaxStates < t.maxStates {
+				t.maxStates = opts.MaxStates
+			}
+			if opts.Timeout > 0 {
+				t.slice = opts.Timeout / pt.share
+			}
+			s.tiers = append(s.tiers, t)
+		}
+	}
+	s.tiers = append(s.tiers, &tier{phase: "final", maxStates: opts.MaxStates})
+	// Publish how many rungs the whole schedule may run into the
+	// cumulative "core.deepen_total" gauge: two process orders per
+	// ladder bound and one full-bound search per tier. Every rung
+	// skipped or shared is taken off again, so "core.deepen_rounds"
+	// reaches the total on a SAFE run; the -watch ETA reads the two.
+	perTier := 1
+	if s.ladder {
+		perTier += 2 * (bound - 2)
+	}
+	s.rounds = s.rec.Counter("core.deepen_rounds")
+	s.total = s.rec.Gauge("core.deepen_total")
+	s.total.Set(s.total.Value() + int64(perTier*len(s.tiers)))
+	return s
+}
+
+// run walks the schedule until a rung finds a violation or the final
+// decider returns. It reports the deciding result and its tier.
+func (s *schedule) run() (sc.Result, *tier, error) {
+	probes, final := s.tiers[:len(s.tiers)-1], s.tiers[len(s.tiers)-1]
+	step := func(t *tier, cb int) (sc.Result, bool, error) {
+		res, err := s.rung(t, cb)
+		return res, err != nil || res.Violation, err
+	}
+	for cb := 2; s.ladder && cb < s.bound; cb++ {
+		for _, t := range probes {
+			if res, stop, err := step(t, cb); stop {
+				return res, s.endProbes(t), err
+			}
+		}
+	}
+	for _, t := range probes {
+		if res, stop, err := step(t, s.bound); stop {
+			return res, s.endProbes(t), err
+		}
+	}
+	s.endProbes(final)
+	for cb := 2; s.ladder && cb < s.bound; cb++ {
+		if res, stop, err := step(final, cb); stop {
+			return res, final, err
+		}
+	}
+	res, err := s.rung(final, s.bound)
+	if secs := final.used.Seconds(); secs > 0 {
+		s.rec.Histogram("core.final_search_seconds", obs.DurationBuckets).Observe(secs)
+		if final.states > 0 {
+			s.rec.Histogram("core.final_states_per_sec", obs.RateBuckets).Observe(float64(final.states) / secs)
+		}
+	}
+	return res, final, err
+}
+
+// endProbes closes the probe phase, won by tier hit (the final tier
+// when no probe hit): every other probe that ran counts as a miss.
+func (s *schedule) endProbes(hit *tier) *tier {
+	for _, t := range s.tiers[:len(s.tiers)-1] {
+		if t.prog == nil {
+			continue
+		}
+		secs := t.used.Seconds()
+		s.rec.Histogram("core.probe_seconds", obs.DurationBuckets).Observe(secs)
+		if secs > 0 && t.states > 0 {
+			s.rec.Histogram("core.probe_states_per_sec", obs.RateBuckets).Observe(float64(t.states) / secs)
+		}
+		if t != hit {
+			s.rec.Counter("core.probe_misses").Inc()
+		}
+	}
+	return hit
+}
+
+// prepare translates and compiles t on first use. A translation that
+// prints like an earlier tier's reuses that tier's space.
+func (s *schedule) prepare(t *tier) error {
+	if t.prog != nil {
+		return nil
+	}
+	name := t.phase + ".translate"
+	if t.num == 0 {
+		name = "translate"
+	} else {
+		s.rec.Counter("core.probes_run").Inc()
+	}
+	span := s.rec.StartPhase(name)
+	prog, err := translateVariant(s.src, s.opts.K, t.v)
+	span.End()
+	if err != nil {
+		return err
+	}
+	t.prog = prog
+	if t.num == 0 {
+		s.rec.Gauge("translate.stmts").Set(int64(prog.CountStmts()))
+		if !s.deadline.IsZero() {
+			// The final ladder may spend at most half of what is left,
+			// so its capped rungs cannot starve the SAFE decider.
+			t.slice = time.Until(s.deadline) / 2
+		}
+	}
+	if len(s.spaces) > 0 {
+		text := prog.String()
+		for _, sp := range s.spaces {
+			if sp.text() == text {
+				t.sp, t.twin = sp, t.num > 0
+				return nil
+			}
+		}
+	}
+	span = s.rec.StartPhase(t.phase + ".compile")
+	cp, err := lang.Compile(prog)
 	span.End()
 	if err != nil {
 		// The translation always emits well-formed programs; a failure
 		// here is a bug in the translator itself.
 		panic(fmt.Sprintf("core: compiling translation: %v", err))
 	}
-	sys := sc.NewSystem(cp)
-	// Publish how many ladder rounds this call will run (the deepening
-	// pairs plus the final full-bound search) into the cumulative
-	// "core.deepen_total" gauge: progress of "core.deepen_rounds" against
-	// it drives the -watch ETA heuristic.
-	planned := int64(1)
-	if bound > 2 && !scOpts.Reduce {
-		planned += 2 * int64(bound-2)
+	t.sp = &space{prog: prog, sys: sc.NewSystem(cp)}
+	if !s.opts.Reduce && s.bound > 0 {
+		t.sp.srch = t.sp.sys.NewSearcher(s.scOptions(s.bound))
 	}
-	gTotal := rec.Gauge("core.deepen_total")
-	gTotal.Set(gTotal.Value() + planned)
-	var res sc.Result
-	var totalStates, totalTransitions int
-	// Restart ladder: each round pairs a small context bound (2 up to
-	// one below the full bound) with one of the two process orders —
-	// bugs located in different threads are reached by differently
-	// biased searches, cf. the position sensitivity of RCMC in the
-	// paper's Tables 3 and 4. Each round carries the ladderCap state
-	// budget so that no single bias can starve the others; the final
-	// uncapped full-bound run decides SAFE exactly.
-	budget := ladderCap
-	if scOpts.MaxStates > 0 && budget > scOpts.MaxStates {
-		budget = scOpts.MaxStates
+	s.spaces = append(s.spaces, t.sp)
+	return nil
+}
+
+// text returns the space's program as printed. It is printed only when
+// a later tier's translation is compared with it, so a run that its
+// first tier settles prints nothing.
+func (sp *space) text() string {
+	if sp.printed == "" {
+		sp.printed = sp.prog.String()
 	}
-	// The restart ladder pairs small context bounds with process-order
-	// biases; under the reduction the backend forces unbounded contexts,
-	// so every ladder rung would re-run the same full search — skip
-	// straight to the final run instead.
-	for cb := 2; !scOpts.Reduce && bound > 0 && cb < bound; cb++ {
-		for _, rev := range []bool{false, true} {
-			rec.Counter("core.deepen_rounds").Inc()
-			round := scOpts
-			round.MaxContexts = cb
-			round.ReverseProcs = rev
-			round.MaxStates = budget
-			span := rec.StartPhase(phase + ".deepen")
-			res = sys.Check(round)
-			span.End()
-			totalStates += res.States
-			totalTransitions += res.Transitions
-			if res.Violation || res.TimedOut {
-				res.States, res.Transitions = totalStates, totalTransitions
-				return res
-			}
-			if res.Exhausted && !rev {
-				// The reversed order would re-cover the same node set;
-				// take its round off the plan so that deepen_rounds
-				// still reaches deepen_total.
-				gTotal.Set(gTotal.Value() - 1)
-				break
+	return sp.printed
+}
+
+func (s *schedule) scOptions(cb int) sc.Options {
+	return sc.Options{MaxContexts: cb, Ctx: s.opts.Ctx, ExactDedup: s.opts.ExactDedup, Reduce: s.opts.Reduce,
+		Workers: s.opts.Workers, StealSeed: s.opts.StealSeed, Obs: s.rec}
+}
+
+// rung runs tier t at context bound cb — a ladder rung below the full
+// bound, the tier's full-bound search at it — in the forward process
+// order, and in the reversed order too when the forward rung was
+// capped. A rung whose bound the tier's space has already covered is
+// shared and not run again; so is every rung of a probe twin. The
+// final tier's full-bound search is the only SAFE decider: it reports
+// Exhausted only when every level up to the full bound was exhausted
+// with no cap.
+func (s *schedule) rung(t *tier, cb int) (res sc.Result, err error) {
+	full := cb == s.bound
+	planned, ran := 2, 0
+	if full {
+		planned = 1
+	}
+	defer func() { s.total.Set(s.total.Value() - int64(planned-ran)) }()
+	if err := s.prepare(t); err != nil {
+		return sc.Result{}, err
+	}
+	decider := full && t.num == 0
+	sp := t.sp
+	switch {
+	case full && sp.full:
+		return sc.Result{Exhausted: true}, nil
+	case t.twin || t.dead && !decider:
+		return sc.Result{}, nil
+	case !full && sp.covered >= cb:
+		return sc.Result{}, nil
+	}
+	for _, rev := range []bool{false, true} {
+		res = s.search(t, cb, rev)
+		ran++
+		if full {
+			// Nothing deepens past the full bound: free its visited set.
+			sp.srch = nil
+		}
+		switch {
+		case res.Violation:
+			return res, nil
+		case res.Exhausted && full:
+			sp.full = true
+			return res, nil
+		case res.Exhausted:
+			sp.covered = cb
+			return res, nil
+		case res.TimedOut:
+			t.dead = true
+			return res, nil
+		case full:
+			return res, nil
+		}
+	}
+	return res, nil
+}
+
+// search runs one rung and records it: deepening the space's Searcher
+// when its chain is intact and the order is forward, a fresh sc.Check
+// otherwise.
+func (s *schedule) search(t *tier, cb int, rev bool) sc.Result {
+	full := cb == s.bound
+	o := s.scOptions(cb)
+	o.ReverseProcs = rev
+	if !s.deadline.IsZero() {
+		o.Deadline = s.deadline
+		if t.slice > 0 && !(full && t.num == 0) {
+			if d := time.Now().Add(t.slice - t.used); d.Before(o.Deadline) {
+				o.Deadline = d
 			}
 		}
 	}
-	if !res.Violation && !res.TimedOut {
-		// The final full-bound run is the ladder's last rung: counting it
-		// in deepen_rounds lets the round counter reach deepen_total.
-		rec.Counter("core.deepen_rounds").Inc()
-		span := rec.StartPhase(phase + ".search")
-		res = sys.Check(scOpts)
-		span.End()
-		totalStates += res.States
-		totalTransitions += res.Transitions
+	sp := t.sp
+	resumed := !rev && sp.srch != nil && sp.srch.Resumable()
+	o.MaxStates = t.maxStates
+	if resumed && o.MaxStates > 0 {
+		// The cap bounds the whole chain, as it would one fresh search.
+		o.MaxStates = max(o.MaxStates-sp.states, 1)
 	}
-	res.States, res.Transitions = totalStates, totalTransitions
+	if !full && (o.MaxStates == 0 || o.MaxStates > ladderCap) {
+		o.MaxStates = ladderCap
+	}
+	name := t.phase + ".deepen"
+	if full {
+		name = t.phase + ".search"
+	}
+	s.rounds.Inc()
+	span := s.rec.StartPhase(name)
+	start := time.Now()
+	// A searcher's first Deepen starts at the initial closure: only a
+	// later one resumes.
+	resumedFrom := -1
+	var res sc.Result
+	if resumed {
+		resumedFrom = sp.srch.Bound()
+		res = sp.srch.Deepen(o)
+		sp.states += res.States
+	} else {
+		res = sp.sys.Check(o)
+	}
+	t.used += time.Since(start)
+	t.states += res.States
+	s.states += res.States
+	s.transitions += res.Transitions
+	order := "forward"
+	if rev {
+		order = "reversed"
+	}
+	span.SetAttr("tier", t.phase)
+	span.SetAttrInt("context_bound", int64(cb))
+	span.SetAttr("order", order)
+	span.SetAttr("resumed", strconv.FormatBool(resumedFrom > 0))
+	span.SetAttrInt("states", int64(res.States))
+	span.SetAttr("outcome", rungOutcome(res))
+	span.End()
 	return res
+}
+
+// rungOutcome names how a rung ended, for its span.
+func rungOutcome(res sc.Result) string {
+	switch {
+	case res.Violation:
+		return "hit"
+	case res.Exhausted:
+		return "exhausted"
+	case res.TimedOut:
+		return "timed_out"
+	}
+	return "capped"
 }
 
 // FindMinK runs VBMC with K = 0, 1, ..., maxK and returns the first

@@ -17,10 +17,13 @@ import (
 )
 
 // pinRow is one pinned search result: the counts and the SHA-256 of
-// the witness JSONL ("" when the run has no witness). The values were
-// recorded on the serial explicit-stack engines that the one-worker
-// pool replaced, so they hold the pool to the old engines' states,
-// transitions and witnesses byte for byte.
+// the witness JSONL ("" when the run has no witness). The RA rows and
+// the witness bytes were recorded on the serial explicit-stack engines
+// that the one-worker pool replaced; the SC counts were re-recorded
+// when the search key started masking every terminated process's
+// registers, and the core.Run counts when the probe schedule went flat
+// and resumable (the Table 1 witnesses did not move: each row's hit
+// rung, tier 2 at context bound 2, is the same fresh search).
 type pinRow struct {
 	name                string
 	states, transitions int
@@ -94,48 +97,49 @@ func classicPin(t *testing.T, tc litmus.Test) pinRow {
 }
 
 var table1Pins = []pinRow{
-	{"bakery", 55302, 75734, "fa8188fb14a9ecd141e8e3128548d08f15cfb2a12cb44c542fe7fcace8e8e601"},
-	{"burns", 17759, 23841, "6dc891dea80e051967fb91c8024fe3a48ac41d6e4d07eea99c74ce6d0dcf8730"},
-	{"dekker", 10238, 12693, "1b0cc1b215a0d61a8d9fd95245de75ad2137fdae77f7c9e4279742699fbf77b9"},
-	{"lamport", 8337, 9266, "47528ab6ce49ecce13229c9d94ea37a045ece9d450d2fc10730d2ceb979cb615"},
-	{"peterson_0", 2865, 3392, "8a6406c5df13150829bd1bee63183620ec4577d5621bfa1bbbca2345e6416cca"},
-	{"peterson_0(3)", 560175, 891702, "c9e1f601f2f9cb09246f264a83fac842aaba965c0b02aba6b7cfdb423922bc22"},
-	{"sim_dekker", 4024, 4859, "bdb51d4bf748bf77c6833a96773f50b0dba46fc0d0a70a1784ea2cead2cfa596"},
-	{"szymanski_0", 63268, 91931, "f32961519d5a5710b36861888f512fc9f31c5ed7d6436295d0496cc2018cf9b0"},
+	{"bakery", 11391, 11525, "fa8188fb14a9ecd141e8e3128548d08f15cfb2a12cb44c542fe7fcace8e8e601"},
+	{"burns", 2812, 2914, "6dc891dea80e051967fb91c8024fe3a48ac41d6e4d07eea99c74ce6d0dcf8730"},
+	{"dekker", 3329, 3488, "1b0cc1b215a0d61a8d9fd95245de75ad2137fdae77f7c9e4279742699fbf77b9"},
+	{"lamport", 4935, 5034, "47528ab6ce49ecce13229c9d94ea37a045ece9d450d2fc10730d2ceb979cb615"},
+	{"peterson_0", 843, 896, "8a6406c5df13150829bd1bee63183620ec4577d5621bfa1bbbca2345e6416cca"},
+	{"peterson_0(3)", 25974, 26345, "c9e1f601f2f9cb09246f264a83fac842aaba965c0b02aba6b7cfdb423922bc22"},
+	{"sim_dekker", 788, 819, "bdb51d4bf748bf77c6833a96773f50b0dba46fc0d0a70a1784ea2cead2cfa596"},
+	{"szymanski_0", 10853, 11757, "f32961519d5a5710b36861888f512fc9f31c5ed7d6436295d0496cc2018cf9b0"},
 }
 
 // proofPins are the SAFE rows of the benchmark's proofs workload at
-// K=2: tbar_4 at L=1/2/4, tbar_4(3) and peterson_4(2) at L=1. Like
-// classicCensusPins, they were recorded while the SC search still built
-// trace events on every macro step.
+// K=2: tbar_4 at L=1/2/4, tbar_4(3) and peterson_4(2) at L=1, each
+// the sum over every rung of the flat, resumable probe schedule.
 var proofPins = []struct {
 	l   int
 	pin pinRow
 }{
-	{1, pinRow{"tbar_4", 4341, 5418, ""}},
-	{2, pinRow{"tbar_4", 8973, 12084, ""}},
-	{4, pinRow{"tbar_4", 24837, 34548, ""}},
-	{1, pinRow{"tbar_4(3)", 43491, 63243, ""}},
-	{1, pinRow{"peterson_4(2)", 384150, 512583, ""}},
+	{1, pinRow{"tbar_4", 595, 780, ""}},
+	{2, pinRow{"tbar_4", 1207, 1720, ""}},
+	{4, pinRow{"tbar_4", 3255, 4816, ""}},
+	{1, pinRow{"tbar_4(3)", 5977, 9480, ""}},
+	{1, pinRow{"peterson_4(2)", 166627, 247784, ""}},
 }
 
 // classicCensusPins are classicCensusPin's results, in litmus.Classic
-// order, recorded while the SC search still built trace events on every
-// macro step: they hold the replayed witnesses to the old bytes.
+// order. They hold the replayed witnesses to the bytes the search
+// recorded while it still built trace events on every macro step; RWC's
+// witness moved with the search key, whose fingerprint orders census
+// witnesses.
 var classicCensusPins = []pinRow{
 	{"MP", 122, 122, ""},
 	{"MP-rev", 120, 125, "c9a8075d45fbf18c7574e9192a50b0a9a59a20cc3c73a039d5abcdfb84e9f7e5"},
 	{"SB-half", 77, 128, "bb70e38bb0e381d702940a97c31510a171400066606aec14646a0bfc3e85c0e5"},
 	{"SB+fences", 17561, 30089, ""},
 	{"LB-half", 88, 90, "e7df1b85e45966b1367c0e75d8b61ef30a24a29c599953a4112d33a91a13e83a"},
-	{"LB", 2224, 3224, ""},
-	{"CoRR", 209, 242, ""},
+	{"LB", 2221, 3220, ""},
+	{"CoRR", 207, 238, ""},
 	{"WRC", 122, 153, ""},
-	{"RWC", 471, 696, "c8ea1525a947be7fede3f2dc0af9d3f4639cc487b364546b93d2717f6fcb6b59"},
-	{"IRIW", 2826, 5368, ""},
+	{"RWC", 471, 696, "a4be88d67a0f442465599dee3837628c212d3601221af5d3b1f88ae8aea18e3b"},
+	{"IRIW", 2767, 5315, ""},
 	{"CAS-excl", 157, 156, ""},
 	{"2+2W", 7564, 10134, "c70f2e777ae84395762213b14eda4171630c8abb7b3d51a28713fa6cf7a9851a"},
-	{"S-coh", 871, 1309, ""},
+	{"S-coh", 833, 1244, ""},
 	{"MP+cas", 36, 35, ""},
 	{"CAS-chain", 19, 21, "1588bed3b2bc8d8c9c2fe088ec236bed71d06df59e45836f772842f8c7d02716"},
 	{"SB+1fence", 34103, 62624, "2822ab66e5597c1fb4f0d8f4f6be7f1d73bc5738cf56e303d931d67546f64966"},

@@ -154,7 +154,79 @@ func (s *System) Check(opts Options) Result {
 		}
 	}
 	span.SetAttrInt("workers", int64(workers))
-	return s.newChecker(opts, workers).run()
+	return s.newChecker(opts, workers, nil).run()
+}
+
+// Searcher is a context-bounded search that deepens without
+// restarting (iterative context bounding, cf. Musuvathi and Qadeer,
+// PLDI 2007): its visited set survives from one Deepen to the next,
+// and the context switches a bound cut off are the roots of the next
+// bound's search. It keeps them as the cut-off nodes themselves, not as
+// built children, so a Deepen that finds a bug has paid nothing for
+// the next level. A run of Deepen calls at increasing bounds that all
+// exhaust visits exactly the node set, and counts exactly the states
+// and transitions, of one Check at the last bound.
+type Searcher struct {
+	sys     *System
+	workers int
+	visited *fp.ShardedSet
+	// frontier holds the nodes at context count bound whose context
+	// switches the last Deepen cut off.
+	frontier []scItem
+	bound    int
+	last     int // the largest bound; its cut-off switches are not kept
+	broken   bool
+}
+
+// NewSearcher returns a resumable search of s that has covered no
+// context bound yet and will be deepened up to opts.MaxContexts at
+// most. Its pool width and dedup mode are opts.Workers and
+// opts.ExactDedup; Deepen ignores them.
+func (s *System) NewSearcher(opts Options) *Searcher {
+	workers := resolveWorkers(opts.Workers)
+	return &Searcher{sys: s, workers: workers, last: opts.MaxContexts,
+		visited: fp.NewShardedSet(opts.ExactDedup, workers)}
+}
+
+// Bound returns the context bound the searcher has exhausted (0 before
+// the first exhausted Deepen).
+func (r *Searcher) Bound() int { return r.bound }
+
+// Resumable reports whether Deepen may be called: every earlier Deepen
+// exhausted its bound.
+func (r *Searcher) Resumable() bool { return !r.broken }
+
+// Deepen searches the context bound opts.MaxContexts, which must exceed
+// Bound and not exceed the searcher's largest bound, from where the
+// previous Deepen stopped: the first call starts at the initial
+// closure, later ones at the cut-off context switches. The Result
+// counts only the states and transitions this call added; MaxStates
+// caps that count. It is the stop-at-first search: Reduce,
+// CensusViolations and TargetLabels must be unset. Unless the result
+// is Exhausted the searcher is spent and Resumable turns false.
+func (r *Searcher) Deepen(opts Options) Result {
+	if r.broken || opts.MaxContexts <= r.bound || opts.MaxContexts > r.last || opts.Reduce || opts.CensusViolations || len(opts.TargetLabels) > 0 {
+		panic("sc: Deepen on a spent searcher or with unsupported options")
+	}
+	span := opts.Obs.StartPhase("sc.check")
+	span.SetAttrInt("max_contexts", int64(opts.MaxContexts))
+	span.SetAttrInt("workers", int64(r.workers))
+	defer span.End()
+	c := r.sys.newChecker(opts, r.workers, r.visited)
+	if opts.MaxContexts < r.last {
+		c.deferred = make([][]scItem, r.workers)
+	}
+	c.resume, c.resuming = r.frontier, r.bound > 0
+	r.frontier = nil
+	res := c.run()
+	if !res.Exhausted {
+		r.broken = true
+		r.visited = nil
+		return res
+	}
+	r.bound = opts.MaxContexts
+	r.frontier = slices.Concat(c.deferred...)
+	return res
 }
 
 // scPathNode is one link of a frontier item's path to a state: the
@@ -193,6 +265,12 @@ type scItem struct {
 	contexts int
 	// sleep is the item's inherited sleep mask (reduced search only).
 	sleep uint64
+	// packed, when non-nil, marks a node visited by an earlier
+	// Searcher.Deepen whose context switches that bound cut off: only
+	// those are taken. It holds the configuration in Key's encoding,
+	// about a byte per value, because a whole level of such nodes waits
+	// between two Deepen calls; cfg is unpacked from it on expansion.
+	packed []byte
 }
 
 // checker is the shared state of one Check. Counters are atomics the
@@ -234,6 +312,13 @@ type checker struct {
 	kids   [][]scItem
 	links  [][]scPathNode
 
+	// Resumable search (Searcher): deferred collects, per worker, the
+	// nodes whose context switches the bound cut off; when resuming,
+	// resume replaces the initial closure as the roots.
+	deferred [][]scItem
+	resume   []scItem
+	resuming bool
+
 	// Reduced-search state (Options.Reduce, always one worker): the
 	// visited maps store the first-visit sleep mask per state
 	// (fingerprint or exact keyed), psQueue/execFoot are reusable
@@ -260,7 +345,8 @@ type flushMark struct {
 	states, transitions, probes, hits, violations int
 }
 
-func (s *System) newChecker(opts Options, workers int) *checker {
+// newChecker prepares one search; a nil visited set gets a fresh one.
+func (s *System) newChecker(opts Options, workers int, visited *fp.ShardedSet) *checker {
 	c := &checker{
 		sys:     s,
 		opts:    opts,
@@ -271,10 +357,13 @@ func (s *System) newChecker(opts Options, workers int) *checker {
 		outs:    make([][]outcome, workers),
 		kids:    make([][]scItem, workers),
 		links:   make([][]scPathNode, workers),
+		visited: visited,
 	}
 	switch {
 	case !opts.Reduce:
-		c.visited = fp.NewShardedSet(opts.ExactDedup, workers)
+		if c.visited == nil {
+			c.visited = fp.NewShardedSet(opts.ExactDedup, workers)
+		}
 	case opts.ExactDedup:
 		c.rmEx = make(map[string]uint64)
 	default:
@@ -324,7 +413,13 @@ func (c *checker) run() Result {
 	var res Result
 	var roots []scItem
 	initWitness := false
-	for i, oc := range c.sys.initClosure(c.sys.Init(), 0) {
+	var closure []outcome
+	if c.resuming {
+		roots = c.resume
+	} else {
+		closure = c.sys.initClosure(c.sys.Init(), 0)
+	}
+	for i, oc := range closure {
 		if oc.violation {
 			res.Violation = true
 			res.Violations++
@@ -383,7 +478,7 @@ func (s *System) regenWitness(opts Options, vfp uint64) *trace.Trace {
 	opts.Ctx = nil
 	opts.Deadline = time.Time{}
 	opts.MaxStates = 0
-	c := s.newChecker(opts, 1)
+	c := s.newChecker(opts, 1, nil)
 	c.directed, c.stopAtVFP = true, vfp
 	return c.run().Trace
 }
@@ -401,34 +496,18 @@ func (c *checker) expand(ctx context.Context, w int, it scItem, push func(scItem
 	if c.opts.Reduce {
 		return c.expandReduced(it, push)
 	}
-	// Order-independent dedup (mirroring ra): under a context bound the
-	// contexts-used coordinate is folded into the key, so whether a node
-	// is explored depends only on the node itself, never on discovery
-	// order. DedupKey ends with the current-process value, so one more
-	// appended value stays injective within a run.
-	buf := c.sys.DedupKey(&it.cfg, c.bufs[w][:0])
-	if c.opts.MaxContexts > 0 {
-		buf = appendVal(buf, lang.Value(it.contexts))
-	}
-	c.bufs[w] = buf
-	h := fp.Hash64(buf)
-	if !c.visited.VisitHash(h, buf) {
-		c.dedupHits.Add(1)
-		c.cDedupHits.Inc()
-		return nil
-	}
-	c.gMaxContexts.SetMax(int64(it.contexts))
-	if err := c.enter(it); err != nil {
-		return err
-	}
-	if c.sys.targetAt(&it.cfg, c.opts.TargetLabels) {
-		c.stopMu.Lock()
-		if !c.targetReached {
-			c.targetReached = true
-			c.stopPath = it.path
+	// A resumed node was visited and counted by the Deepen that cut
+	// its context switches off; only those switches are left to take.
+	resume := it.packed != nil
+	var h uint64
+	if resume {
+		it.cfg = c.sys.unpack(it.packed)
+	} else {
+		var fresh bool
+		var err error
+		if h, fresh, err = c.visit(w, it); !fresh || err != nil {
+			return err
 		}
-		c.stopMu.Unlock()
-		return errStopSearch
 	}
 	// Try the process holding the context first: near-serial schedules
 	// are explored before heavily preempted ones, so counterexamples
@@ -437,6 +516,7 @@ func (c *checker) expand(ctx context.Context, w int, it scItem, push func(scItem
 	cfg := &it.cfg
 	kids, links := c.kids[w][:0], c.links[w][:0]
 	ord := 0 // macro-step ordinal within this node, for MixOrdinal
+	cut := false
 	for _, p := range c.scanOrder(cfg, w) {
 		if c.sys.status(cfg, p) != statusReady {
 			continue
@@ -445,8 +525,11 @@ func (c *checker) expand(ctx context.Context, w int, it scItem, push func(scItem
 		if cfg.cur != p {
 			nc++
 			if c.opts.MaxContexts > 0 && nc > c.opts.MaxContexts {
+				cut = true
 				continue
 			}
+		} else if resume {
+			continue
 		}
 		c.cMacroSteps.Inc()
 		outs := c.sys.macroStep(cfg, p, 0, c.outs[w][:0])
@@ -469,7 +552,45 @@ func (c *checker) expand(ctx context.Context, w int, it scItem, push func(scItem
 		c.outs[w] = outs
 	}
 	c.kids[w], c.links[w] = pushReversed(kids, links, push)
+	if cut && c.deferred != nil {
+		c.deferred[w] = append(c.deferred[w], scItem{packed: cfg.pack(), path: it.path, depth: it.depth, contexts: it.contexts})
+	}
 	return nil
+}
+
+// visit dedups one item and, when it is new, counts it and checks the
+// cap and the target; h is the hash of its search key.
+func (c *checker) visit(w int, it scItem) (h uint64, fresh bool, err error) {
+	// Order-independent dedup (mirroring ra): under a context bound the
+	// contexts-used coordinate is folded into the key, so whether a node
+	// is explored depends only on the node itself, never on discovery
+	// order. DedupKey ends with the current-process value, so one more
+	// appended value stays injective within a run.
+	buf := c.sys.DedupKey(&it.cfg, c.bufs[w][:0])
+	if c.opts.MaxContexts > 0 {
+		buf = appendVal(buf, lang.Value(it.contexts))
+	}
+	c.bufs[w] = buf
+	h = fp.Hash64(buf)
+	if !c.visited.VisitHash(h, buf) {
+		c.dedupHits.Add(1)
+		c.cDedupHits.Inc()
+		return h, false, nil
+	}
+	c.gMaxContexts.SetMax(int64(it.contexts))
+	if err := c.enter(it); err != nil {
+		return h, true, err
+	}
+	if c.sys.targetAt(&it.cfg, c.opts.TargetLabels) {
+		c.stopMu.Lock()
+		if !c.targetReached {
+			c.targetReached = true
+			c.stopPath = it.path
+		}
+		c.stopMu.Unlock()
+		return h, true, errStopSearch
+	}
+	return h, true, nil
 }
 
 // enter counts a newly visited state and applies the MaxStates cap.

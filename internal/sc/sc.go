@@ -115,6 +115,30 @@ func (c *Config) Key() string {
 	return string(appendVal(buf, lang.Value(c.cur+1)))
 }
 
+// pack returns c in Key's encoding, for unpack.
+func (c *Config) pack() []byte {
+	buf := appendVals(make([]byte, 0, len(c.v)+1), c.v)
+	return appendVal(buf, lang.Value(c.cur+1))
+}
+
+// unpack decodes a configuration of s encoded by pack.
+func (s *System) unpack(b []byte) Config {
+	v := make([]lang.Value, s.regOff[len(s.regOff)-1])
+	for i := range v {
+		v[i], b = readVal(b)
+	}
+	cur, _ := readVal(b)
+	return Config{v: v, cur: int(cur) - 1}
+}
+
+// readVal decodes the value appendVal put at the head of b.
+func readVal(b []byte) (lang.Value, []byte) {
+	if b[0] == 0xFE {
+		return lang.Value(binary.LittleEndian.Uint64(b[1:9])), b[9:]
+	}
+	return lang.Value(b[0]), b[1:]
+}
+
 func appendVals(buf []byte, vs []lang.Value) []byte {
 	for _, v := range vs {
 		buf = appendVal(buf, v)
@@ -135,24 +159,16 @@ func appendVal(buf []byte, v lang.Value) []byte {
 }
 
 // DedupKey appends the search key to buf: the configuration as Key
-// encodes it, except that a terminated process's registers are masked
-// as the single byte 0xFD. A live process's registers are encoded
-// together with those of the terminated processes that directly follow
-// it, so only a terminated process with no live process before it
-// loses its registers from the key.
+// encodes it, except that every terminated process's registers are
+// masked as the single byte 0xFD — they can never be read again.
 func (s *System) DedupKey(c *Config, buf []byte) []byte {
 	buf = appendVals(buf, c.v[:s.regOff[0]])
-	n := len(s.Prog.Procs)
-	for p := 0; p < n; p++ {
+	for p := range s.Prog.Procs {
 		if s.terminated(c, p) {
 			buf = append(buf, 0xFD)
 			continue
 		}
-		end := p + 1
-		for end < n && s.terminated(c, end) {
-			end++
-		}
-		buf = appendVals(buf, c.v[s.regOff[p]:s.regOff[end]])
+		buf = appendVals(buf, s.regs(c, p))
 	}
 	return appendVal(buf, lang.Value(c.cur+1))
 }
