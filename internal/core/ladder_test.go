@@ -154,7 +154,8 @@ func TestTable1HitsTier2Bound2(t *testing.T) {
 // TestIdenticalTranslationsSearchedOnce: tbar_4 at L=1 translates to
 // the same program in all three tiers, so probe 2 shares probe 1's
 // rungs and the final decider reads SAFE off probe 1's exhausted,
-// uncapped full-bound level: the run costs one full-bound search.
+// uncapped full-bound level: the run costs one Searcher deepened
+// through the bounds 2..K+n.
 func TestIdenticalTranslationsSearchedOnce(t *testing.T) {
 	p, err := benchmarks.ByName("tbar_4")
 	if err != nil {
@@ -166,13 +167,22 @@ func TestIdenticalTranslationsSearchedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := sc.NewSystem(lang.MustCompile(translated)).Check(sc.Options{MaxContexts: bound})
+	srch := sc.NewSystem(lang.MustCompile(translated)).NewSearcher(sc.Options{MaxContexts: bound})
+	var states, transitions int
+	for cb := 2; cb <= bound; cb++ {
+		r := srch.Deepen(sc.Options{MaxContexts: cb})
+		if !r.Exhausted || r.Violation {
+			t.Fatalf("direct ladder rung %d: exhausted %v, violation %v", cb, r.Exhausted, r.Violation)
+		}
+		states += r.States
+		transitions += r.Transitions
+	}
 	res, rungs := rungSpans(t, p, Options{K: 2, Unroll: 1})
 	if res.Verdict != Safe {
 		t.Fatalf("verdict %v, want SAFE", res.Verdict)
 	}
-	if res.States != fresh.States || res.Transitions != fresh.Transitions {
-		t.Errorf("run %d states / %d transitions, one full-bound search %d / %d", res.States, res.Transitions, fresh.States, fresh.Transitions)
+	if res.States != states || res.Transitions != transitions {
+		t.Errorf("run %d states / %d transitions, one direct ladder %d / %d", res.States, res.Transitions, states, transitions)
 	}
 	for _, r := range rungs {
 		if r.Attrs["tier"] != "probe1" {

@@ -57,7 +57,10 @@ type Options struct {
 	// the backend without a context bound (still sound and complete for
 	// the K-bounded problem, used by the ablation benchmarks).
 	MaxContexts int
-	// MaxStates caps the backend search; 0 means unlimited.
+	// MaxStates caps the backend search; 0 means unlimited. A resumed
+	// ladder's rungs share one cap, as one fresh search would; since
+	// its rungs above the first visit each configuration only once, it
+	// can exhaust under a cap that a fresh full-bound search would hit.
 	MaxStates int
 	// Timeout caps wall-clock time (0 = none). The paper's evaluation
 	// uses 3600 s.

@@ -31,7 +31,13 @@ const (
 // Hash64 returns the 64-bit FNV-1a hash of b. It is equivalent to
 // hash/fnv's New64a but inlineable and allocation-free.
 func Hash64(b []byte) uint64 {
-	h := uint64(offset64)
+	return Extend(offset64, b)
+}
+
+// Extend continues the FNV-1a hash h over b: Extend(Hash64(a), b) ==
+// Hash64(a‖b). It lets a caller probe several keys that share a prefix
+// for one hash of the prefix plus a step per appended byte.
+func Extend(h uint64, b []byte) uint64 {
 	for _, c := range b {
 		h ^= uint64(c)
 		h *= prime64

@@ -35,6 +35,21 @@ func TestHash64MatchesStdlib(t *testing.T) {
 	}
 }
 
+// TestExtendContinuesHash64: extending the hash of a prefix byte by
+// byte gives the hash of the whole key, at every split point.
+func TestExtendContinuesHash64(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 32; i++ {
+		b := make([]byte, rng.Intn(64))
+		rng.Read(b)
+		for cut := 0; cut <= len(b); cut++ {
+			if got, want := Extend(Hash64(b[:cut]), b[cut:]), Hash64(b); got != want {
+				t.Fatalf("Extend(Hash64(%q), %q) = %#x, want %#x", b[:cut], b[cut:], got, want)
+			}
+		}
+	}
+}
+
 // TestSetBudgetSemantics: a state is re-explored exactly when reached
 // with strictly less budget used, in both modes.
 func TestSetBudgetSemantics(t *testing.T) {

@@ -93,6 +93,21 @@ func (s *ShardedSet) VisitHash(h uint64, key []byte) bool {
 	return true
 }
 
+// Has reports whether the state serialised as key, whose fingerprint
+// is h, has been visited, without recording it. Safe for concurrent
+// use and allocation-free; in exact mode the full key decides.
+func (s *ShardedSet) Has(h uint64, key []byte) bool {
+	sh := &s.shards[h>>s.shift]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if s.exact {
+		_, ok := sh.exact[string(key)]
+		return ok
+	}
+	_, ok := sh.fp[h]
+	return ok
+}
+
 // Len returns the number of distinct states recorded, summed across
 // shards. It locks each shard in turn, so concurrent Visits may land
 // between shard reads; engines call it on their flush cadence, where a

@@ -111,6 +111,7 @@ func TestShardedSetProbeZeroAllocs(t *testing.T) {
 		allocs := testing.AllocsPerRun(500, func() {
 			set.Visit(key)
 			set.VisitHash(h, key)
+			set.Has(h, key)
 		})
 		if allocs != 0 {
 			t.Errorf("exact=%v: %v allocs per probe, want 0", exact, allocs)
@@ -158,5 +159,24 @@ func TestShardedSetHashAgreement(t *testing.T) {
 	}
 	if set.Visit(key) {
 		t.Fatal("Visit after VisitHash of the same key must be pruned")
+	}
+}
+
+// TestShardedSetHasIsReadOnly: Has answers whether a key was visited,
+// in both modes, and never records one.
+func TestShardedSetHasIsReadOnly(t *testing.T) {
+	for _, exact := range []bool{false, true} {
+		set := NewShardedSet(exact, 4)
+		seen, unseen := []byte("seen"), []byte("unseen")
+		set.Visit(seen)
+		if !set.Has(Hash64(seen), seen) {
+			t.Errorf("exact=%v: Has misses a visited key", exact)
+		}
+		if set.Has(Hash64(unseen), unseen) {
+			t.Errorf("exact=%v: Has reports an unvisited key", exact)
+		}
+		if set.Len() != 1 || !set.Visit(unseen) {
+			t.Errorf("exact=%v: Has recorded the key it probed", exact)
+		}
 	}
 }

@@ -109,16 +109,18 @@ var table1Pins = []pinRow{
 
 // proofPins are the SAFE rows of the benchmark's proofs workload at
 // K=2: tbar_4 at L=1/2/4, tbar_4(3) and peterson_4(2) at L=1, each
-// the sum over every rung of the flat, resumable probe schedule.
+// the sum over every rung of the flat, resumable probe schedule, whose
+// rungs above the first visit each configuration once, at its lowest
+// context count.
 var proofPins = []struct {
 	l   int
 	pin pinRow
 }{
-	{1, pinRow{"tbar_4", 595, 780, ""}},
-	{2, pinRow{"tbar_4", 1207, 1720, ""}},
-	{4, pinRow{"tbar_4", 3255, 4816, ""}},
-	{1, pinRow{"tbar_4(3)", 5977, 9480, ""}},
-	{1, pinRow{"peterson_4(2)", 166627, 247784, ""}},
+	{1, pinRow{"tbar_4", 467, 700, ""}},
+	{2, pinRow{"tbar_4", 927, 1512, ""}},
+	{4, pinRow{"tbar_4", 2471, 4146, ""}},
+	{1, pinRow{"tbar_4(3)", 3241, 6357, ""}},
+	{1, pinRow{"peterson_4(2)", 97537, 165440, ""}},
 }
 
 // classicCensusPins are classicCensusPin's results, in litmus.Classic

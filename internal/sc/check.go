@@ -161,19 +161,34 @@ func (s *System) Check(opts Options) Result {
 // restarting (iterative context bounding, cf. Musuvathi and Qadeer,
 // PLDI 2007): its visited set survives from one Deepen to the next,
 // and the context switches a bound cut off are the roots of the next
-// bound's search. It keeps them as the cut-off nodes themselves, not as
+// bound's search. It keeps them as compact cut-off records, not as
 // built children, so a Deepen that finds a bug has paid nothing for
-// the next level. A run of Deepen calls at increasing bounds that all
-// exhaust visits exactly the node set, and counts exactly the states
-// and transitions, of one Check at the last bound.
+// the next level.
+//
+// The first Deepen, at bound b0, is exactly Check at b0: a mixed
+// depth-first search over every context count up to b0, keyed by
+// (configuration, contexts). Every node a later Deepen at bound cb
+// reaches has exactly cb contexts — its roots are cut-off nodes
+// taking a switch, same-process steps keep the count, and further
+// switches are cut — so that level is keyed by the configuration
+// alone and prunes every configuration already reached with fewer
+// contexts, whose futures the earlier levels explore with at least as
+// many switches to spare. Each configuration above b0 is therefore
+// visited once, at its lowest context count: a run of exhausting
+// Deepen calls up to bound B visits every (configuration, contexts)
+// pair with contexts ≤ b0 plus every configuration whose minimum
+// context count lies in (b0, B]: at most the states of one Check at
+// B, the same verdict, and a node set that no schedule or dedup mode
+// changes.
 type Searcher struct {
 	sys     *System
 	workers int
 	visited *fp.ShardedSet
-	// frontier holds the nodes at context count bound whose context
-	// switches the last Deepen cut off.
-	frontier []scItem
+	// frontier holds, per worker of the last Deepen, the nodes at
+	// context count bound whose context switches it cut off.
+	frontier [][]cutNode
 	bound    int
+	first    int // b0, the first exhausted Deepen's bound (0 before)
 	last     int // the largest bound; its cut-off switches are not kept
 	broken   bool
 }
@@ -199,7 +214,8 @@ func (r *Searcher) Resumable() bool { return !r.broken }
 // Deepen searches the context bound opts.MaxContexts, which must exceed
 // Bound and not exceed the searcher's largest bound, from where the
 // previous Deepen stopped: the first call starts at the initial
-// closure, later ones at the cut-off context switches. The Result
+// closure, later ones at the cut-off context switches and visit only
+// configurations no lower level reached (see Searcher). The Result
 // counts only the states and transitions this call added; MaxStates
 // caps that count. It is the stop-at-first search: Reduce,
 // CensusViolations and TargetLabels must be unset. Unless the result
@@ -214,9 +230,9 @@ func (r *Searcher) Deepen(opts Options) Result {
 	defer span.End()
 	c := r.sys.newChecker(opts, r.workers, r.visited)
 	if opts.MaxContexts < r.last {
-		c.deferred = make([][]scItem, r.workers)
+		c.deferred = make([][]cutNode, r.workers)
 	}
-	c.resume, c.resuming = r.frontier, r.bound > 0
+	c.resume, c.first = r.frontier, r.first
 	r.frontier = nil
 	res := c.run()
 	if !res.Exhausted {
@@ -224,9 +240,23 @@ func (r *Searcher) Deepen(opts Options) Result {
 		r.visited = nil
 		return res
 	}
+	if r.first == 0 {
+		r.first = opts.MaxContexts
+	}
 	r.bound = opts.MaxContexts
-	r.frontier = slices.Concat(c.deferred...)
+	r.frontier = c.deferred
 	return res
+}
+
+// cutNode is a node whose context switches a Deepen's bound cut off;
+// the next Deepen takes them. A whole level of these waits between two
+// Deepen calls, so the record is small: the configuration in Key's
+// encoding (about a byte per value), unpacked again on expansion, and
+// the search coordinates the node was entered with.
+type cutNode struct {
+	packed          []byte
+	path            *scPathNode
+	depth, contexts int32
 }
 
 // scPathNode is one link of a frontier item's path to a state: the
@@ -265,12 +295,11 @@ type scItem struct {
 	contexts int
 	// sleep is the item's inherited sleep mask (reduced search only).
 	sleep uint64
-	// packed, when non-nil, marks a node visited by an earlier
+	// cut, when non-nil, marks a node visited by an earlier
 	// Searcher.Deepen whose context switches that bound cut off: only
-	// those are taken. It holds the configuration in Key's encoding,
-	// about a byte per value, because a whole level of such nodes waits
-	// between two Deepen calls; cfg is unpacked from it on expansion.
-	packed []byte
+	// those are taken, and the other fields are filled from it on
+	// expansion.
+	cut *cutNode
 }
 
 // checker is the shared state of one Check. Counters are atomics the
@@ -314,10 +343,13 @@ type checker struct {
 
 	// Resumable search (Searcher): deferred collects, per worker, the
 	// nodes whose context switches the bound cut off; when resuming,
-	// resume replaces the initial closure as the roots.
-	deferred [][]scItem
-	resume   []scItem
-	resuming bool
+	// resume replaces the initial closure as the roots, and first is
+	// the bound of the searcher's first Deepen, b0: the nodes of this
+	// later level are keyed by configuration alone (lateKey) and pruned
+	// when a level at most b0 reached them.
+	deferred [][]cutNode
+	resume   [][]cutNode
+	first    int
 
 	// Reduced-search state (Options.Reduce, always one worker): the
 	// visited maps store the first-visit sleep mask per state
@@ -414,8 +446,18 @@ func (c *checker) run() Result {
 	var roots []scItem
 	initWitness := false
 	var closure []outcome
-	if c.resuming {
-		roots = c.resume
+	if c.first > 0 {
+		n := 0
+		for _, part := range c.resume {
+			n += len(part)
+		}
+		roots = make([]scItem, 0, n)
+		for _, part := range c.resume {
+			for i := range part {
+				roots = append(roots, scItem{cut: &part[i]})
+			}
+		}
+		c.resume = nil
 	} else {
 		closure = c.sys.initClosure(c.sys.Init(), 0)
 	}
@@ -498,10 +540,11 @@ func (c *checker) expand(ctx context.Context, w int, it scItem, push func(scItem
 	}
 	// A resumed node was visited and counted by the Deepen that cut
 	// its context switches off; only those switches are left to take.
-	resume := it.packed != nil
+	resume := it.cut != nil
 	var h uint64
 	if resume {
-		it.cfg = c.sys.unpack(it.packed)
+		it = scItem{cfg: c.sys.unpack(it.cut.packed), path: it.cut.path,
+			depth: int(it.cut.depth), contexts: int(it.cut.contexts)}
 	} else {
 		var fresh bool
 		var err error
@@ -553,10 +596,15 @@ func (c *checker) expand(ctx context.Context, w int, it scItem, push func(scItem
 	}
 	c.kids[w], c.links[w] = pushReversed(kids, links, push)
 	if cut && c.deferred != nil {
-		c.deferred[w] = append(c.deferred[w], scItem{packed: cfg.pack(), path: it.path, depth: it.depth, contexts: it.contexts})
+		c.deferred[w] = append(c.deferred[w], cutNode{packed: cfg.pack(), path: it.path, depth: int32(it.depth), contexts: int32(it.contexts)})
 	}
 	return nil
 }
+
+// lateKey ends the search key of a node above a Searcher's first
+// bound in place of its context count: all such nodes share it. No
+// encoded value starts with this byte, so the key stays injective.
+const lateKey = 0xFF
 
 // visit dedups one item and, when it is new, counts it and checks the
 // cap and the target; h is the hash of its search key.
@@ -567,12 +615,17 @@ func (c *checker) visit(w int, it scItem) (h uint64, fresh bool, err error) {
 	// order. DedupKey ends with the current-process value, so one more
 	// appended value stays injective within a run.
 	buf := c.sys.DedupKey(&it.cfg, c.bufs[w][:0])
-	if c.opts.MaxContexts > 0 {
-		buf = appendVal(buf, lang.Value(it.contexts))
+	if c.first > 0 {
+		buf, h, fresh = c.visitLate(buf)
+	} else {
+		if c.opts.MaxContexts > 0 {
+			buf = appendVal(buf, lang.Value(it.contexts))
+		}
+		h = fp.Hash64(buf)
+		fresh = c.visited.VisitHash(h, buf)
 	}
 	c.bufs[w] = buf
-	h = fp.Hash64(buf)
-	if !c.visited.VisitHash(h, buf) {
+	if !fresh {
 		c.dedupHits.Add(1)
 		c.cDedupHits.Inc()
 		return h, false, nil
@@ -591,6 +644,27 @@ func (c *checker) visit(w int, it scItem) (h uint64, fresh bool, err error) {
 		return h, true, errStopSearch
 	}
 	return h, true, nil
+}
+
+// visitLate dedups a node above the first bound b0, whose DedupKey is
+// in buf: it is pruned when the first Deepen visited its configuration
+// at any context count 1..b0 (a node at count 0 has no current process,
+// so no later node shares its configuration), and otherwise visited
+// under the lateKey suffix, which every level above b0 shares. The
+// lower keys are only looked up, each hashed by one more FNV step from
+// the configuration's hash.
+func (c *checker) visitLate(buf []byte) ([]byte, uint64, bool) {
+	n := len(buf)
+	h0 := fp.Hash64(buf)
+	for cb := 1; cb <= c.first; cb++ {
+		buf = appendVal(buf[:n], lang.Value(cb))
+		if c.visited.Has(fp.Extend(h0, buf[n:]), buf) {
+			return buf, 0, false
+		}
+	}
+	buf = append(buf[:n], lateKey)
+	h := fp.Extend(h0, buf[n:])
+	return buf, h, c.visited.VisitHash(h, buf)
 }
 
 // enter counts a newly visited state and applies the MaxStates cap.

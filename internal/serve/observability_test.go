@@ -476,15 +476,15 @@ func TestFlightRecorderEndToEnd(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		b, _ := json.Marshal(VerifyRequest{Bench: "peterson_1", Mode: cache.ModeVBMC, K: 5, Unroll: 6, TimeoutSeconds: 120})
+		b, _ := json.Marshal(VerifyRequest{Bench: "peterson_4(3)", Mode: cache.ModeVBMC, K: 2, Unroll: 1, TimeoutSeconds: 120})
 		resp, err := http.Post(ts.URL+"/v1/verify", "application/json", strings.NewReader(string(b)))
 		if err == nil {
 			resp.Body.Close()
 		}
 	}()
 
-	// The run lasts tens of seconds; the dump must appear shortly after
-	// the 50ms threshold.
+	// The run (a SAFE proof, over a minute on two cores) lasts far past
+	// the 50ms threshold; the dump must appear shortly after it.
 	deadline := time.Now().Add(10 * time.Second)
 	var dumped *RunRecord
 	for time.Now().Before(deadline) && dumped == nil {
