@@ -161,9 +161,9 @@ func (s *System) Check(opts Options) Result {
 // restarting (iterative context bounding, cf. Musuvathi and Qadeer,
 // PLDI 2007): its visited set survives from one Deepen to the next,
 // and the context switches a bound cut off are the roots of the next
-// bound's search. It keeps them as compact cut-off records, not as
-// built children, so a Deepen that finds a bug has paid nothing for
-// the next level.
+// bound's search. It keeps each as the frontier item it was popped as,
+// its configuration still packed, so a Deepen that finds a bug has paid
+// nothing for the next level.
 //
 // The first Deepen, at bound b0, is exactly Check at b0: a mixed
 // depth-first search over every context count up to b0, keyed by
@@ -186,7 +186,7 @@ type Searcher struct {
 	visited *fp.ShardedSet
 	// frontier holds, per worker of the last Deepen, the nodes at
 	// context count bound whose context switches it cut off.
-	frontier [][]cutNode
+	frontier [][]scItem
 	bound    int
 	first    int // b0, the first exhausted Deepen's bound (0 before)
 	last     int // the largest bound; its cut-off switches are not kept
@@ -230,7 +230,7 @@ func (r *Searcher) Deepen(opts Options) Result {
 	defer span.End()
 	c := r.sys.newChecker(opts, r.workers, r.visited)
 	if opts.MaxContexts < r.last {
-		c.deferred = make([][]cutNode, r.workers)
+		c.deferred = make([][]scItem, r.workers)
 	}
 	c.resume, c.first = r.frontier, r.first
 	r.frontier = nil
@@ -246,17 +246,6 @@ func (r *Searcher) Deepen(opts Options) Result {
 	r.bound = opts.MaxContexts
 	r.frontier = c.deferred
 	return res
-}
-
-// cutNode is a node whose context switches a Deepen's bound cut off;
-// the next Deepen takes them. A whole level of these waits between two
-// Deepen calls, so the record is small: the configuration in Key's
-// encoding (about a byte per value), unpacked again on expansion, and
-// the search coordinates the node was entered with.
-type cutNode struct {
-	packed          []byte
-	path            *scPathNode
-	depth, contexts int32
 }
 
 // scPathNode is one link of a frontier item's path to a state: the
@@ -280,26 +269,26 @@ func (s *System) replay(n *scPathNode) *trace.Trace {
 	oc := s.initClosure(s.Init(), recEvents)[chain[len(chain)-1].idx]
 	events := append([]trace.Event{}, oc.log.events...)
 	for i := len(chain) - 2; i >= 0; i-- {
-		oc = s.macroStep(&oc.cfg, int(chain[i].proc), recEvents, nil)[chain[i].idx]
+		oc = s.macroStep(&oc.cfg, int(chain[i].proc), recEvents, nil, nil)[chain[i].idx]
 		events = append(events, oc.log.events...)
 	}
 	return &trace.Trace{Events: events}
 }
 
-// scItem is one frontier item: a configuration plus the search
-// coordinates it is entered with.
+// scItem is one frontier item: a configuration in Key's encoding
+// (about a byte per value; the kids of one expansion share one slab),
+// decoded into the worker's scratch on expansion, plus the search
+// coordinates it is entered with. A whole level of these waits between
+// two Searcher.Deepen calls.
 type scItem struct {
-	cfg      Config
-	path     *scPathNode
-	depth    int
-	contexts int
+	packed          []byte
+	path            *scPathNode
+	depth, contexts int32
 	// sleep is the item's inherited sleep mask (reduced search only).
 	sleep uint64
-	// cut, when non-nil, marks a node visited by an earlier
-	// Searcher.Deepen whose context switches that bound cut off: only
-	// those are taken, and the other fields are filled from it on
-	// expansion.
-	cut *cutNode
+	// resumed marks a node visited by an earlier Searcher.Deepen whose
+	// context switches that bound cut off: only those are taken.
+	resumed bool
 }
 
 // checker is the shared state of one Check. Counters are atomics the
@@ -331,15 +320,7 @@ type checker struct {
 	directed  bool
 	stopAtVFP uint64
 
-	// Per-worker reusable scratch: the zero-alloc encode+probe
-	// guarantee holds per worker; outs receives one macro step's
-	// outcomes, and kids/links collect an expansion's children and
-	// their path links before they are pushed in reverse.
-	bufs   [][]byte
-	orders [][]int
-	outs   [][]outcome
-	kids   [][]scItem
-	links  [][]scPathNode
+	ws []scratch // per-worker scratch
 
 	// Resumable search (Searcher): deferred collects, per worker, the
 	// nodes whose context switches the bound cut off; when resuming,
@@ -347,8 +328,8 @@ type checker struct {
 	// the bound of the searcher's first Deepen, b0: the nodes of this
 	// later level are keyed by configuration alone (lateKey) and pruned
 	// when a level at most b0 reached them.
-	deferred [][]cutNode
-	resume   [][]cutNode
+	deferred [][]scItem
+	resume   [][]scItem
 	first    int
 
 	// Reduced-search state (Options.Reduce, always one worker): the
@@ -371,6 +352,32 @@ type checker struct {
 	mark    flushMark // totals as of the last stats flush
 }
 
+// scratch is one worker's reusable expansion state, so the search
+// copies a configuration once per kept outcome and allocates once per
+// expanded node: its kids' packed slab. cfg is the expanded item,
+// decoded (allocated on the worker's first expansion); macro steps
+// branch on copies from free; key holds the dedup key and order the
+// scan order; outs receives one macro step's outcomes, and
+// kids/packed/starts collect the expansion's children and their packed
+// configurations (kid i's from starts[i]) until pushKids pushes them in
+// reverse and empties them (an error return mid-expansion leaves them
+// dirty, but it also ends the search). The kids' path links go to the
+// tail of arena, allocated linkChunk links at a time; a pushed link is
+// immutable.
+type scratch struct {
+	cfg    Config
+	free   freeList
+	key    []byte
+	order  []int
+	outs   []outcome
+	kids   []scItem
+	packed []byte
+	starts []int
+	arena  []scPathNode
+}
+
+const linkChunk = 256
+
 // flushMark remembers the totals already pushed into the SearchStats
 // block, so each flush adds only the delta since the previous one.
 type flushMark struct {
@@ -384,11 +391,7 @@ func (s *System) newChecker(opts Options, workers int, visited *fp.ShardedSet) *
 		opts:    opts,
 		workers: workers,
 		bestVFP: ^uint64(0),
-		bufs:    make([][]byte, workers),
-		orders:  make([][]int, workers),
-		outs:    make([][]outcome, workers),
-		kids:    make([][]scItem, workers),
-		links:   make([][]scPathNode, workers),
+		ws:      make([]scratch, workers),
 		visited: visited,
 	}
 	switch {
@@ -447,15 +450,11 @@ func (c *checker) run() Result {
 	initWitness := false
 	var closure []outcome
 	if c.first > 0 {
-		n := 0
-		for _, part := range c.resume {
-			n += len(part)
-		}
-		roots = make([]scItem, 0, n)
-		for _, part := range c.resume {
-			for i := range part {
-				roots = append(roots, scItem{cut: &part[i]})
-			}
+		// The cut-off items are the roots as they stand: worker 0's
+		// slice takes the other workers' in place.
+		roots = c.resume[0]
+		for _, part := range c.resume[1:] {
+			roots = append(roots, part...)
 		}
 		c.resume = nil
 	} else {
@@ -474,7 +473,7 @@ func (c *checker) run() Result {
 			}
 			continue
 		}
-		roots = append(roots, scItem{cfg: oc.cfg, path: &scPathNode{idx: int32(i)}})
+		roots = append(roots, scItem{packed: oc.cfg.pack(nil), path: &scPathNode{idx: int32(i)}})
 	}
 	slices.Reverse(roots)
 
@@ -530,25 +529,26 @@ func (s *System) regenWitness(opts Options, vfp uint64) *trace.Trace {
 // in reverse scan order.
 func (c *checker) expand(ctx context.Context, w int, it scItem, push func(scItem), f sched.Frontier) error {
 	if hook := testExpandHook; hook != nil {
-		hook(w, it.depth)
+		hook(w, int(it.depth))
 	}
 	if c.steps.Add(1)%flushStride == 0 {
 		c.flush(f)
 	}
+	ws := &c.ws[w]
+	if ws.cfg.v == nil {
+		ws.cfg.v = make([]lang.Value, len(c.sys.Init().v))
+	}
+	unpackInto(&ws.cfg, it.packed)
 	if c.opts.Reduce {
-		return c.expandReduced(it, push)
+		return c.expandReduced(ws, it, push)
 	}
 	// A resumed node was visited and counted by the Deepen that cut
 	// its context switches off; only those switches are left to take.
-	resume := it.cut != nil
 	var h uint64
-	if resume {
-		it = scItem{cfg: c.sys.unpack(it.cut.packed), path: it.cut.path,
-			depth: int(it.cut.depth), contexts: int(it.cut.contexts)}
-	} else {
+	if !it.resumed {
 		var fresh bool
 		var err error
-		if h, fresh, err = c.visit(w, it); !fresh || err != nil {
+		if h, fresh, err = c.visit(ws, it); !fresh || err != nil {
 			return err
 		}
 	}
@@ -556,49 +556,82 @@ func (c *checker) expand(ctx context.Context, w int, it scItem, push func(scItem
 	// are explored before heavily preempted ones, so counterexamples
 	// that deviate from a serial run in few, late places (the typical
 	// shape of mutual-exclusion bugs) are found early.
-	cfg := &it.cfg
-	kids, links := c.kids[w][:0], c.links[w][:0]
+	cfg := &ws.cfg
 	ord := 0 // macro-step ordinal within this node, for MixOrdinal
 	cut := false
-	for _, p := range c.scanOrder(cfg, w) {
+	for _, p := range c.scanOrder(cfg, ws) {
 		if c.sys.status(cfg, p) != statusReady {
 			continue
 		}
 		nc := it.contexts
 		if cfg.cur != p {
 			nc++
-			if c.opts.MaxContexts > 0 && nc > c.opts.MaxContexts {
+			if c.opts.MaxContexts > 0 && int(nc) > c.opts.MaxContexts {
 				cut = true
 				continue
 			}
-		} else if resume {
+		} else if it.resumed {
 			continue
 		}
 		c.cMacroSteps.Inc()
-		outs := c.sys.macroStep(cfg, p, 0, c.outs[w][:0])
-		for i, oc := range outs {
+		ws.outs = c.sys.macroStep(cfg, p, 0, ws.outs[:0], &ws.free)
+		for i, oc := range ws.outs {
 			vord := ord
 			ord++
 			c.transitions.Add(1)
 			c.cTransitions.Inc()
 			link := scPathNode{parent: it.path, proc: int32(p), idx: int32(i)}
 			if oc.violation {
+				ws.free.put(oc.cfg)
 				if err := c.violation(fp.MixOrdinal(h, vord), link); err != nil {
 					return err
 				}
 				continue
 			}
-			kids = append(kids, scItem{cfg: oc.cfg, depth: it.depth + 1, contexts: nc})
-			links = append(links, link)
+			ws.keep(oc.cfg, scItem{depth: it.depth + 1, contexts: nc}, link)
 		}
-		clear(outs)
-		c.outs[w] = outs
+		clear(ws.outs)
 	}
-	c.kids[w], c.links[w] = pushReversed(kids, links, push)
+	ws.pushKids(push)
 	if cut && c.deferred != nil {
-		c.deferred[w] = append(c.deferred[w], cutNode{packed: cfg.pack(), path: it.path, depth: int32(it.depth), contexts: int32(it.contexts)})
+		it.resumed = true
+		c.deferred[w] = append(c.deferred[w], it)
 	}
 	return nil
+}
+
+// keep packs a kept macro-step outcome as the expansion's next kid and
+// gives its buffer back.
+func (ws *scratch) keep(cfg Config, kid scItem, link scPathNode) {
+	ws.starts = append(ws.starts, len(ws.packed))
+	ws.packed = cfg.pack(ws.packed)
+	ws.free.put(cfg)
+	if n := len(ws.kids); len(ws.arena) == cap(ws.arena) {
+		// A new chunk; this expansion's links move along, unreferenced.
+		ws.arena = append(make([]scPathNode, 0, max(linkChunk, 2*n)), ws.arena[len(ws.arena)-n:]...)
+	}
+	ws.arena = append(ws.arena, link)
+	ws.kids = append(ws.kids, kid)
+}
+
+// pushKids gives the kids their packed configurations, backed by one
+// allocation (a kid's bytes are capped, so no append reaches a
+// sibling's), and their path links at the arena's tail, and pushes them
+// last to first, so the owner's LIFO pops them in scan order.
+func (ws *scratch) pushKids(push func(scItem)) {
+	if len(ws.kids) == 0 {
+		return
+	}
+	slab, nodes := slices.Clone(ws.packed), ws.arena[len(ws.arena)-len(ws.kids):]
+	b := len(slab)
+	for i := len(ws.kids) - 1; i >= 0; i-- {
+		a := ws.starts[i]
+		ws.kids[i].packed, ws.kids[i].path = slab[a:b:b], &nodes[i]
+		push(ws.kids[i])
+		b = a
+	}
+	clear(ws.kids)
+	ws.kids, ws.packed, ws.starts = ws.kids[:0], ws.packed[:0], ws.starts[:0]
 }
 
 // lateKey ends the search key of a node above a Searcher's first
@@ -608,13 +641,13 @@ const lateKey = 0xFF
 
 // visit dedups one item and, when it is new, counts it and checks the
 // cap and the target; h is the hash of its search key.
-func (c *checker) visit(w int, it scItem) (h uint64, fresh bool, err error) {
+func (c *checker) visit(ws *scratch, it scItem) (h uint64, fresh bool, err error) {
 	// Order-independent dedup (mirroring ra): under a context bound the
 	// contexts-used coordinate is folded into the key, so whether a node
 	// is explored depends only on the node itself, never on discovery
 	// order. DedupKey ends with the current-process value, so one more
 	// appended value stays injective within a run.
-	buf := c.sys.DedupKey(&it.cfg, c.bufs[w][:0])
+	buf := c.sys.DedupKey(&ws.cfg, ws.key[:0])
 	if c.first > 0 {
 		buf, h, fresh = c.visitLate(buf)
 	} else {
@@ -624,7 +657,7 @@ func (c *checker) visit(w int, it scItem) (h uint64, fresh bool, err error) {
 		h = fp.Hash64(buf)
 		fresh = c.visited.VisitHash(h, buf)
 	}
-	c.bufs[w] = buf
+	ws.key = buf
 	if !fresh {
 		c.dedupHits.Add(1)
 		c.cDedupHits.Inc()
@@ -634,7 +667,7 @@ func (c *checker) visit(w int, it scItem) (h uint64, fresh bool, err error) {
 	if err := c.enter(it); err != nil {
 		return h, true, err
 	}
-	if c.sys.targetAt(&it.cfg, c.opts.TargetLabels) {
+	if c.sys.targetAt(&ws.cfg, c.opts.TargetLabels) {
 		c.stopMu.Lock()
 		if !c.targetReached {
 			c.targetReached = true
@@ -708,25 +741,10 @@ func (c *checker) violation(vfp uint64, link scPathNode) error {
 	return errStopSearch
 }
 
-// pushReversed gives the kids their path links, all backed by one
-// allocation, and pushes them last to first, so the owner's LIFO pops
-// them in scan order. It returns the cleared slices for reuse.
-func pushReversed(kids []scItem, links []scPathNode, push func(scItem)) ([]scItem, []scPathNode) {
-	nodes := slices.Clone(links)
-	for i := len(kids) - 1; i >= 0; i-- {
-		kids[i].path = &nodes[i]
-		push(kids[i])
-	}
-	clear(kids)
-	clear(links)
-	return kids[:0], links[:0]
-}
-
-// scanOrder returns the canonical process scan order at cfg in worker
-// w's scratch: the context holder first, then declaration (or
-// reversed) order.
-func (c *checker) scanOrder(cfg *Config, w int) []int {
-	order := c.orders[w][:0]
+// scanOrder returns the canonical process scan order at cfg in ws: the
+// context holder first, then declaration (or reversed) order.
+func (c *checker) scanOrder(cfg *Config, ws *scratch) []int {
+	order := ws.order[:0]
 	if cfg.cur >= 0 {
 		order = append(order, cfg.cur)
 	}
@@ -740,7 +758,7 @@ func (c *checker) scanOrder(cfg *Config, w int) []int {
 			order = append(order, p)
 		}
 	}
-	c.orders[w] = order
+	ws.order = order
 	return order
 }
 

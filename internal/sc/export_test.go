@@ -31,7 +31,7 @@ func (s *System) RefSteps(c Config) []RefStep {
 		if s.status(&c, p) != statusReady {
 			continue
 		}
-		for _, oc := range s.macroStep(&c, p, 0, nil) {
+		for _, oc := range s.macroStep(&c, p, 0, nil, nil) {
 			out = append(out, RefStep{Cfg: oc.cfg, Switch: c.cur != p, Violation: oc.violation})
 		}
 	}

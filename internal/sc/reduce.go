@@ -271,7 +271,7 @@ func (e *checker) persistentSet(c *Config) uint64 {
 		return 0
 	}
 	seed := -1
-	for _, p := range e.scanOrder(c, 0) {
+	for _, p := range e.scanOrder(c, &e.ws[0]) {
 		if ready&procBit(p) != 0 {
 			seed = p
 			break
@@ -382,11 +382,12 @@ const (
 // and its first-visit masks follow the fixed depth-first order. The
 // context bound is always unbounded here, so the dedup key carries no
 // contexts coordinate.
-func (e *checker) expandReduced(it scItem, push func(scItem)) error {
-	key := e.sys.DedupKey(&it.cfg, e.bufs[0][:0])
-	e.bufs[0] = key
+func (e *checker) expandReduced(ws *scratch, it scItem, push func(scItem)) error {
+	cfg := &ws.cfg
+	key := e.sys.DedupKey(cfg, ws.key[:0])
+	ws.key = key
 	h := fp.Hash64(key)
-	pset := e.persistentSet(&it.cfg)
+	pset := e.persistentSet(cfg)
 	var explore, exploredBefore uint64
 	prev, revisit := e.lookupMask(h, key)
 	if !revisit {
@@ -417,39 +418,33 @@ func (e *checker) expandReduced(it scItem, push func(scItem)) error {
 		return nil
 	}
 	running := it.sleep | exploredBefore
-	cfg := &it.cfg
-	kids, links := e.kids[0][:0], e.links[0][:0]
 	ord := 0
-	for _, p := range e.scanOrder(cfg, 0) {
+	for _, p := range e.scanOrder(cfg, ws) {
 		if explore&procBit(p) == 0 {
 			continue
 		}
 		e.cMacroSteps.Inc()
-		outs := e.sys.macroStep(cfg, p, recFoot, e.outs[0][:0])
-		for i, oc := range outs {
+		ws.outs = e.sys.macroStep(cfg, p, recFoot, ws.outs[:0], &ws.free)
+		for i, oc := range ws.outs {
 			vord := ord
 			ord++
 			e.transitions.Add(1)
 			e.cTransitions.Inc()
 			link := scPathNode{parent: it.path, proc: int32(p), idx: int32(i)}
 			if oc.violation {
+				ws.free.put(oc.cfg)
 				if err := e.violation(fp.MixOrdinal(h, vord), link); err != nil {
 					return err
 				}
 				continue
 			}
-			kids = append(kids, scItem{
-				cfg:   oc.cfg,
-				depth: it.depth + 1,
-				sleep: e.filterSleep(running, e.stepFoot(oc.log.foot), cfg),
-			})
-			links = append(links, link)
+			sleep := e.filterSleep(running, e.stepFoot(oc.log.foot), cfg)
+			ws.keep(oc.cfg, scItem{depth: it.depth + 1, sleep: sleep}, link)
 		}
-		clear(outs)
-		e.outs[0] = outs
+		clear(ws.outs)
 		running |= procBit(p)
 	}
-	e.kids[0], e.links[0] = pushReversed(kids, links, push)
+	ws.pushKids(push)
 	return nil
 }
 

@@ -48,6 +48,32 @@ type outcome struct {
 	violation bool
 }
 
+// freeList recycles one worker's configuration buffers: a macro step
+// takes each branch's copy from it, and a discarded branch, or a kept
+// outcome once the search has packed it, gives the buffer back, so a
+// guess that dies inside its atomic block costs no allocation. A nil
+// list allocates every copy (MacroSteps, InitialConfigs, witness
+// replay).
+type freeList [][]lang.Value
+
+// clone copies c into a recycled buffer when one is free.
+func (f *freeList) clone(c Config) Config {
+	if f == nil || len(*f) == 0 {
+		return c.clone()
+	}
+	v := (*f)[len(*f)-1]
+	*f = (*f)[:len(*f)-1]
+	copy(v, c.v)
+	return Config{v: v, cur: c.cur}
+}
+
+// put gives c's buffer back; c must not be used afterwards.
+func (f *freeList) put(c Config) {
+	if f != nil {
+		*f = append(*f, c.v)
+	}
+}
+
 // maxLocalSteps bounds a single macro step, guarding against local-only
 // infinite loops in non-unrolled programs.
 const maxLocalSteps = 1 << 16
@@ -57,11 +83,11 @@ const maxLocalSteps = 1 << 16
 // on nondeterminism. Branches that fail an assume inside an atomic
 // section are discarded (the atomic transition does not exist for those
 // guesses); a failed assume outside an atomic section leaves the
-// process parked at the assume.
-func (s *System) macroStep(c *Config, p int, r rec, out []outcome) []outcome {
-	d := c.clone()
+// process parked at the assume. Branch copies come from free.
+func (s *System) macroStep(c *Config, p int, r rec, out []outcome, free *freeList) []outcome {
+	d := free.clone(*c)
 	d.cur = p
-	return s.run(d, p, 0, true, r, stepLog{}, out, 0)
+	return s.run(d, p, 0, true, r, stepLog{}, out, 0, free)
 }
 
 // initClosure runs the local prefix of every process (before the first
@@ -76,7 +102,7 @@ func (s *System) initClosure(c *Config, r rec) []outcome {
 				next = append(next, oc)
 				continue
 			}
-			next = s.run(oc.cfg, p, 0, false, r, oc.log, next, 0)
+			next = s.run(oc.cfg, p, 0, false, r, oc.log, next, 0, nil)
 		}
 		configs = next
 	}
@@ -88,8 +114,9 @@ func (s *System) initClosure(c *Config, r rec) []outcome {
 // permission to execute one visible instruction; afterwards any visible
 // instruction outside an atomic section is a quiescent point. It is the
 // only SC interpreter: the search, witness replay and the reduced
-// search differ only in what r asks it to record into log.
-func (s *System) run(c Config, p, atomicDepth int, firstStep bool, r rec, log stepLog, out []outcome, steps int) []outcome {
+// search differ only in what r asks it to record into log. A discarded
+// branch gives its configuration back to free.
+func (s *System) run(c Config, p, atomicDepth int, firstStep bool, r rec, log stepLog, out []outcome, steps int, free *freeList) []outcome {
 	pr := s.Prog.Procs[p]
 	pcAt := s.pcOff + p
 	regs := s.regs(&c, p)
@@ -123,6 +150,7 @@ func (s *System) run(c Config, p, atomicDepth int, firstStep bool, r rec, log st
 			old := in.OldS.Eval(regs)
 			if c.v[in.VarSlot] != old {
 				if atomicDepth > 0 || firstStep {
+					free.put(c)
 					return out // transition does not exist under these guesses
 				}
 				// Park at the CAS; it may become enabled later.
@@ -187,7 +215,7 @@ func (s *System) run(c Config, p, atomicDepth int, firstStep bool, r rec, log st
 			for v := in.Hi; v >= in.Lo; v-- {
 				d, l := c, log
 				if v > in.Lo {
-					d = c.clone()
+					d = free.clone(c)
 					if r != 0 {
 						l = stepLog{events: slices.Clone(log.events), foot: slices.Clone(log.foot)}
 					}
@@ -198,12 +226,13 @@ func (s *System) run(c Config, p, atomicDepth int, firstStep bool, r rec, log st
 					l.events = append(l.events, trace.Event{Proc: pr.Name, Label: in.Label, Kind: trace.KindLocal,
 						Reg: in.Reg, Val: int64(v), HasVal: true, Choice: true})
 				}
-				out = s.run(d, p, atomicDepth, false, r, l, out, steps+1)
+				out = s.run(d, p, atomicDepth, false, r, l, out, steps+1, free)
 			}
 			return out
 		case lang.OpAssumeCond:
 			if in.CondS.Eval(regs) == 0 {
 				if atomicDepth > 0 {
+					free.put(c)
 					return out // infeasible guess: discard the atomic branch
 				}
 				return append(out, outcome{cfg: c, log: log})

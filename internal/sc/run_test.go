@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"ravbmc/internal/fp"
 	"ravbmc/internal/lang"
 )
 
@@ -152,5 +153,49 @@ func TestMaxStatesZeroMeansUnlimited(t *testing.T) {
 	res := NewSystem(lang.MustCompile(p)).Check(Options{MaxStates: 0})
 	if !res.Exhausted {
 		t.Fatal("tiny program must be exhausted with no cap")
+	}
+}
+
+// TestMacroStepWarmFreeListAllocs checks the search's successor path:
+// once a worker's free list holds enough buffers, a macro step whose
+// guesses mostly die inside its atomic block (at an assume or a failed
+// CAS, as the translation's guesses do) allocates nothing. Every branch
+// copies into a recycled buffer, a discarded branch gives its buffer
+// back at once, and the caller gives back each kept outcome's.
+func TestMacroStepWarmFreeListAllocs(t *testing.T) {
+	if fp.RaceEnabled {
+		t.Skip("allocation guards are meaningless under -race")
+	}
+	p := lang.NewProgram("guesses", "x", "y")
+	p.AddProc("p0", "r", "s").Add(lang.AtomicS(
+		lang.NondetS("r", 0, 3),
+		lang.AssumeS(lang.Le(lang.R("r"), lang.C(1))),
+		lang.WriteS("x", lang.R("r")),
+		lang.NondetS("s", 0, 2),
+		lang.AssumeS(lang.Ne(lang.R("s"), lang.C(1))),
+		lang.CASS("y", lang.R("s"), lang.C(5)),
+	))
+	sys := NewSystem(lang.MustCompile(p))
+	cfg := sys.InitialConfigs()[0]
+	var free freeList
+	var outs []outcome
+	step := func() {
+		outs = sys.macroStep(cfg, 0, 0, outs[:0], &free)
+		for _, oc := range outs {
+			free.put(oc.cfg)
+		}
+	}
+	step()
+	// r in {0, 1} survives the first assume, s = 0 the second and the
+	// CAS (y is 0): two outcomes of twelve guesses.
+	if len(outs) != 2 {
+		t.Fatalf("%d outcomes, want 2", len(outs))
+	}
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Errorf("%v allocs per macro step on a warm free list, want 0", allocs)
+	}
+	// The free list holds no more buffers than the step ever had live.
+	if len(free) > 4 {
+		t.Errorf("free list grew to %d buffers", len(free))
 	}
 }

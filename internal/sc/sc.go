@@ -110,25 +110,22 @@ func (s *System) regs(c *Config, p int) []lang.Value {
 }
 
 // Key returns a canonical binary encoding of the full configuration.
-func (c *Config) Key() string {
-	buf := appendVals(nil, c.v)
-	return string(appendVal(buf, lang.Value(c.cur+1)))
+func (c *Config) Key() string { return string(c.pack(nil)) }
+
+// pack appends c in Key's encoding to buf, about one byte per value:
+// the form in which frontier items hold configurations.
+func (c *Config) pack(buf []byte) []byte {
+	return appendVal(appendVals(buf, c.v), lang.Value(c.cur+1))
 }
 
-// pack returns c in Key's encoding, for unpack.
-func (c *Config) pack() []byte {
-	buf := appendVals(make([]byte, 0, len(c.v)+1), c.v)
-	return appendVal(buf, lang.Value(c.cur+1))
-}
-
-// unpack decodes a configuration of s encoded by pack.
-func (s *System) unpack(b []byte) Config {
-	v := make([]lang.Value, s.regOff[len(s.regOff)-1])
-	for i := range v {
-		v[i], b = readVal(b)
+// unpackInto decodes a configuration encoded by pack into c, whose
+// value slice already has the system's length.
+func unpackInto(c *Config, b []byte) {
+	for i := range c.v {
+		c.v[i], b = readVal(b)
 	}
 	cur, _ := readVal(b)
-	return Config{v: v, cur: int(cur) - 1}
+	c.cur = int(cur) - 1
 }
 
 // readVal decodes the value appendVal put at the head of b.
@@ -249,7 +246,7 @@ func (s *System) MacroSteps(c *Config, p int) []*Config {
 		return nil
 	}
 	var buf [8]outcome
-	return configs(s.macroStep(c, p, 0, buf[:0]))
+	return configs(s.macroStep(c, p, 0, buf[:0], nil))
 }
 
 // configs returns the non-violating outcomes' configurations, backed

@@ -92,7 +92,8 @@ const idleSleepMax = time.Millisecond
 // error, or a worker panics (returns the *PanicError) — in the latter
 // three cases remaining items are abandoned and all workers join
 // before Run returns. The worker index passed to expand identifies the
-// executing worker (0-based), for worker-local scratch state.
+// executing worker (0-based), for worker-local scratch state. Run owns
+// roots: a one-worker pool pops and pushes in its backing array.
 func (p *StealPool[T]) Run(ctx context.Context, roots []T, expand func(ctx context.Context, worker int, item T, push func(T), f Frontier) error) error {
 	if len(roots) == 0 {
 		return nil
@@ -108,9 +109,18 @@ func (p *StealPool[T]) Run(ctx context.Context, roots []T, expand func(ctx conte
 		done:   make(chan struct{}),
 	}
 	r.pending.Store(int64(len(roots)))
-	for i, root := range roots {
-		d := &r.deques[i%p.workers]
-		d.items = append(d.items, root)
+	// Size every deque for its share once: a resumed search hands over
+	// a whole level of roots. One worker's deque is roots itself.
+	if p.workers == 1 {
+		r.deques[0].items = roots
+	} else {
+		for i := range r.deques {
+			r.deques[i].items = make([]T, 0, (len(roots)+p.workers-1)/p.workers)
+		}
+		for i, root := range roots {
+			d := &r.deques[i%p.workers]
+			d.items = append(d.items, root)
+		}
 	}
 
 	// Worker 0 runs on the calling goroutine: a one-worker pool starts

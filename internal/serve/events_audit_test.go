@@ -20,7 +20,7 @@ import (
 func startLongRun(t *testing.T, s *Server, baseURL, ref string) string {
 	t.Helper()
 	go func() {
-		req := VerifyRequest{Bench: "peterson_1", Mode: cache.ModeVBMC, K: 5, Unroll: 6, TimeoutSeconds: 120, ClientRef: ref}
+		req := VerifyRequest{Bench: "peterson_4(3)", Mode: cache.ModeVBMC, K: 2, Unroll: 1, TimeoutSeconds: 120, ClientRef: ref}
 		b, _ := json.Marshal(req)
 		resp, err := http.Post(baseURL+"/v1/verify", "application/json", strings.NewReader(string(b)))
 		if err == nil {

@@ -665,12 +665,12 @@ func TestEventsLiveStreamAndDisconnect(t *testing.T) {
 	t.Cleanup(func() { s.Close(); ts.Close() })
 	client := NewClient(ts.URL)
 
-	// A run that lasts tens of seconds, so it is mid-flight for the
-	// whole test; Close cancels it at cleanup.
+	// A run that lasts minutes, so it is mid-flight for the whole test;
+	// Close cancels it at cleanup.
 	posted := make(chan struct{})
 	go func() {
 		defer close(posted)
-		b, _ := json.Marshal(VerifyRequest{Bench: "peterson_1", Mode: cache.ModeVBMC, K: 5, Unroll: 6, TimeoutSeconds: 120})
+		b, _ := json.Marshal(VerifyRequest{Bench: "peterson_4(3)", Mode: cache.ModeVBMC, K: 2, Unroll: 1, TimeoutSeconds: 120})
 		resp, err := http.Post(ts.URL+"/v1/verify", "application/json", strings.NewReader(string(b)))
 		if err == nil {
 			resp.Body.Close()

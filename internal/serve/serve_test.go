@@ -172,10 +172,10 @@ func TestServeBackpressure(t *testing.T) {
 	t.Cleanup(func() { s.Close(); ts.Close() })
 
 	// Distinct slow requests so singleflight cannot collapse them: the
-	// buggy peterson variant at large K and unroll runs for tens of
-	// seconds, and different K yield different cache keys.
+	// fenced peterson_4(3) at L=1 runs for minutes at every K >= 2, and
+	// different K yield different cache keys.
 	body := func(i int) string {
-		b, _ := json.Marshal(VerifyRequest{Bench: "peterson_1", Mode: cache.ModeVBMC, K: 5 + i, Unroll: 6, TimeoutSeconds: 60})
+		b, _ := json.Marshal(VerifyRequest{Bench: "peterson_4(3)", Mode: cache.ModeVBMC, K: 2 + i, Unroll: 1, TimeoutSeconds: 60})
 		return string(b)
 	}
 	done := make(chan struct{}, 2)
@@ -224,7 +224,7 @@ func TestServeDrainNoLeaks(t *testing.T) {
 	done := make(chan int, 4)
 	for i := 0; i < 4; i++ {
 		go func(i int) {
-			b, _ := json.Marshal(VerifyRequest{Bench: "peterson_1", Mode: cache.ModeVBMC, K: 5 + i, Unroll: 6, TimeoutSeconds: 60})
+			b, _ := json.Marshal(VerifyRequest{Bench: "peterson_4(3)", Mode: cache.ModeVBMC, K: 2 + i, Unroll: 1, TimeoutSeconds: 60})
 			resp, err := http.Post(ts.URL+"/v1/verify", "application/json", strings.NewReader(string(b)))
 			if err == nil {
 				resp.Body.Close()
@@ -282,7 +282,7 @@ func TestServeCancelMidRunReleasesSlot(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		b, _ := json.Marshal(VerifyRequest{Bench: "peterson_1", Mode: cache.ModeVBMC, K: 5, Unroll: 6, TimeoutSeconds: 120})
+		b, _ := json.Marshal(VerifyRequest{Bench: "peterson_4(3)", Mode: cache.ModeVBMC, K: 2, Unroll: 1, TimeoutSeconds: 120})
 		req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/verify", strings.NewReader(string(b)))
 		req.Header.Set("Content-Type", "application/json")
 		_, err := http.DefaultClient.Do(req)

@@ -144,7 +144,7 @@ echo "SSE replay OK ($(grep -c '^event: search' "$tmp/replay.sse") search frames
 # while the run executes. Killing the parked POST disconnects its
 # request context, which cancels the run server-side.
 curl -fsS -X POST "$base/v1/verify" -H 'Content-Type: application/json' \
-  -d '{"bench":"peterson_1","mode":"vbmc","k":5,"unroll":6,"timeout_seconds":120,"client_ref":"smoke-live-1"}' \
+  -d '{"bench":"peterson_4(3)","mode":"vbmc","k":2,"unroll":1,"timeout_seconds":120,"client_ref":"smoke-live-1"}' \
   >/dev/null 2>&1 &
 live_pid=$!
 live_ok=""
@@ -163,7 +163,7 @@ echo "live SSE OK (in-flight stream delivered search frames)" >&2
 
 # Graceful drain under fire: park a long verification on the daemon,
 # then SIGTERM it mid-run. The daemon must exit 0 within the grace.
-"$tmp/vbmc" -remote "$base" -bench peterson_1 -k 5 -l 6 -timeout 120s \
+"$tmp/vbmc" -remote "$base" -bench 'peterson_4(3)' -k 2 -l 1 -timeout 120s \
   >/dev/null 2>&1 || true &
 client_pid=$!
 sleep 1
