@@ -19,16 +19,6 @@
 //	GET  /v1/runs       recent run ledger (summaries, newest first)
 //	GET  /v1/runs/{id}  one run's full record: timings, span tree, slow dump
 //	GET  /v1/runs/{id}/events  SSE search-telemetry stream (live, replayed when done)
-//	GET  /v1/cache/{key}  internal: peer cache-fill read by digest
-//
-// Several daemons become one horizontally scaled service with -node-id
-// and -peers: every node is started with the same static peer list, a
-// consistent-hash ring over the cache key gives each request one owner
-// shard, non-owners forward to it (falling back to local execution when
-// it is down or draining), and cold local misses consult the owner's
-// cache before computing. See "Running a cluster" in docs/SERVICE.md:
-//
-//	vbmcd -addr :8081 -node-id n1 -peers n1=http://h1:8081,n2=http://h2:8082
 //
 // On SIGINT/SIGTERM the daemon stops admitting work, waits up to
 // -drain-grace for in-flight verifications, then hard-cancels the
@@ -51,7 +41,6 @@ import (
 	"time"
 
 	"ravbmc/internal/cache"
-	"ravbmc/internal/cluster"
 	"ravbmc/internal/obs"
 	"ravbmc/internal/serve"
 	"ravbmc/internal/version"
@@ -79,11 +68,6 @@ func run() int {
 		sampleIv   = flag.Duration("sample-interval", 500*time.Millisecond, "search-telemetry sampling cadence for live runs (SSE stream and ledger series)")
 		logJSON    = flag.Bool("log-json", false, "emit request logs as JSON instead of key=value text")
 		showVer    = flag.Bool("version", false, "print the toolchain version and exit")
-
-		nodeID    = flag.String("node-id", "", "this node's ID in a cluster; requires -peers and must appear in it")
-		peersFlag = flag.String("peers", "", "static cluster membership as id=url pairs, comma separated, this node included (every node must be started with the same list)")
-		probeIv   = flag.Duration("probe-interval", 2*time.Second, "peer health probe cadence in a cluster")
-		batchWkrs = flag.Int("batch-workers", 0, "concurrent /v1/batch items on this coordinator (0 = 4x workers)")
 	)
 	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
 	if err := flag.CommandLine.Parse(os.Args[1:]); err == flag.ErrHelp {
@@ -123,30 +107,6 @@ func run() int {
 		audit = f
 	}
 
-	// Cluster mode: -node-id and -peers come together or not at all.
-	var cl *cluster.Cluster
-	if (*nodeID == "") != (*peersFlag == "") {
-		fmt.Fprintln(os.Stderr, "vbmcd: -node-id and -peers must be set together")
-		return 3
-	}
-	if *nodeID != "" {
-		peers, err := cluster.ParsePeers(*peersFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vbmcd:", err)
-			return 3
-		}
-		cl, err = cluster.New(cluster.Config{
-			Self: *nodeID, Peers: peers,
-			Probe: cluster.ProbeConfig{Interval: *probeIv},
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vbmcd:", err)
-			return 3
-		}
-		cl.Start()
-		defer cl.Stop()
-	}
-
 	s := serve.New(serve.Config{
 		Cache: c, Workers: *workers, Queue: *queue,
 		DefaultTimeout: *defTimeout, MaxTimeout: *maxTimeout,
@@ -155,7 +115,6 @@ func run() int {
 		Log: slog.New(handler), LedgerSize: *ledgerSize,
 		RunLog: audit, SlowRunThreshold: *slowRun,
 		SampleInterval: *sampleIv,
-		Cluster:        cl, BatchWorkers: *batchWkrs,
 	})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -164,9 +123,6 @@ func run() int {
 	}
 	fmt.Printf("vbmcd listening on http://%s\n", ln.Addr())
 	fmt.Printf("vbmcd version %s\n", c.Version())
-	if cl != nil {
-		fmt.Printf("vbmcd cluster node %s (%d peers)\n", cl.Self(), len(cl.Peers()))
-	}
 
 	srv := &http.Server{Handler: s.Handler()}
 	errc := make(chan error, 1)

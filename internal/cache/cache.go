@@ -392,27 +392,6 @@ func (c *Cache) Do(ctx context.Context, req Request, run RunFunc) (Outcome, erro
 	}
 }
 
-// GetByDigest returns the exact entry stored under d, if any — the
-// read the peer cache-fill endpoint serves: no subsumption, no
-// execution, just the memoized outcome (witness included). It
-// refreshes the entry's LRU position but does not count toward the
-// hit/miss statistics — a peer's read is not this node's workload.
-func (c *Cache) GetByDigest(d Digest) (Outcome, bool) {
-	if c == nil {
-		return Outcome{}, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[d]
-	if !ok {
-		return Outcome{}, false
-	}
-	c.lru.MoveToFront(e.elem)
-	out := e.out
-	out.Cached = true
-	return out, true
-}
-
 // lookupLocked answers from the exact entry or by subsumption. Callers
 // hold c.mu.
 func (c *Cache) lookupLocked(d, g Digest, r Request) (Outcome, bool) {

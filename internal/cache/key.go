@@ -107,8 +107,7 @@ type Digest [sha256.Size]byte
 // Hex returns the lowercase hex encoding.
 func (d Digest) Hex() string { return hex.EncodeToString(d[:]) }
 
-// ParseDigest decodes a hex digest (disk-store records, the peer
-// cache-fill endpoint's URL key).
+// ParseDigest decodes a hex digest (the disk store's record keys).
 func ParseDigest(s string) (Digest, error) {
 	var d Digest
 	b, err := hex.DecodeString(s)
@@ -120,18 +119,6 @@ func ParseDigest(s string) (Digest, error) {
 	}
 	copy(d[:], b)
 	return d, nil
-}
-
-// Key returns the content address the request's entry is (or would
-// be) stored under: SHA-256 over the canonicalized program, mode,
-// mode-relevant bounds and toolchain version. Every node running the
-// same binary derives the same digest for the same query, which makes
-// it the cluster's routing key — consistent hashing over it gives each
-// request exactly one owner shard. Works on the nil cache too (the
-// disabled cache still has a well-defined key).
-func (c *Cache) Key(r Request) Digest {
-	nr := r.normalized()
-	return digest(lang.Canon(nr.Prog), nr, c.Version(), false)
 }
 
 // groupK is the K placeholder in group keys: the group digest

@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"context"
 	"testing"
 
 	"ravbmc/internal/lang"
@@ -92,54 +91,6 @@ func TestNormalizationDropsIrrelevantDims(t *testing.T) {
 	d := Request{Prog: keyProg("mp", 1), Mode: ModeTracer}
 	if reqDigest(c, false) != reqDigest(d, false) {
 		t.Error("tracer digest depends on ExactDedup, which the mode ignores")
-	}
-}
-
-// TestKeyMatchesStorageDigest pins the routing contract the cluster
-// depends on: Cache.Key equals the digest entries are stored under, is
-// insensitive to request surface variation, and GetByDigest finds the
-// entry a Do stored — witness bytes included.
-func TestKeyMatchesStorageDigest(t *testing.T) {
-	c, err := New(Config{Version: "v-test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	req := Request{Prog: keyProg("mp", 1), Mode: ModeVBMC, K: 2}
-	if c.Key(req) != reqDigest(req, false) {
-		t.Error("Key disagrees with the storage digest derivation")
-	}
-	renamed := Request{Prog: keyProg("other", 1), Mode: ModeVBMC, K: 2}
-	if c.Key(req) != c.Key(renamed) {
-		t.Error("Key differs for programs differing only in name")
-	}
-
-	want := Outcome{Verdict: VerdictUnsafe, WitnessValidated: true,
-		States: 7, WitnessJSONL: []byte("{\"w\":1}\n")}
-	if _, err := c.Do(context.Background(), req, func(context.Context, Request) (Outcome, error) {
-		return want, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := c.GetByDigest(c.Key(req))
-	if !ok {
-		t.Fatal("GetByDigest missed the entry Do just stored")
-	}
-	if got.Verdict != want.Verdict || got.States != want.States || !got.Cached {
-		t.Errorf("GetByDigest = %+v", got)
-	}
-	if string(got.WitnessJSONL) != string(want.WitnessJSONL) {
-		t.Errorf("GetByDigest witness = %q", got.WitnessJSONL)
-	}
-	if _, ok := c.GetByDigest(Digest{1, 2, 3}); ok {
-		t.Error("GetByDigest invented an entry for an unknown digest")
-	}
-	var nilc *Cache
-	if _, ok := nilc.GetByDigest(c.Key(req)); ok {
-		t.Error("nil cache GetByDigest returned an entry")
-	}
-	if nilc.Key(req) == (Digest{}) {
-		t.Error("nil cache Key returned the zero digest")
 	}
 }
 

@@ -57,11 +57,6 @@ type VerifyResponse struct {
 	// appears in the server's request log and exported span trees, so
 	// `GET /v1/runs/{run_id}` retrieves the full timing breakdown.
 	RunID string `json:"run_id"`
-	// Node is the cluster node that served the request — the owner
-	// shard after forwarding, the node the client spoke to otherwise,
-	// "" on a solo daemon. GET /v1/runs/{run_id} must be addressed to
-	// this node; the ledger is per-process.
-	Node string `json:"node,omitempty"`
 	// Version is the server's toolchain version (the one in the cache
 	// key); ElapsedSeconds is this request's wall time in the handler.
 	Version        string  `json:"version"`

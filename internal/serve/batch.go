@@ -13,9 +13,8 @@ import (
 )
 
 // BatchRequest is the body of POST /v1/batch: a whole corpus verified
-// in one call. Each item is a complete VerifyRequest; the cluster fans
-// items out by cache-key ownership, so a corpus sweep engages every
-// node at once.
+// in one call. Each item is a complete VerifyRequest, run concurrently
+// up to the worker count.
 type BatchRequest struct {
 	Items []VerifyRequest `json:"items"`
 	// MinK runs every item through the minimal-K search (/v1/mink
@@ -27,16 +26,13 @@ type BatchRequest struct {
 	Stream bool `json:"stream,omitempty"`
 }
 
-// BatchItemResult is one item's outcome. Fields are chosen so the
-// aggregate is deterministic across topologies: witnesses are
-// represented by their SHA-256, so a single node and a three-node
-// cluster produce byte-identical rows (timing fields excepted).
+// BatchItemResult is one item's outcome. Witnesses are represented by
+// their SHA-256, so two sweeps of the same corpus produce byte-identical
+// rows (timing fields excepted).
 type BatchItemResult struct {
 	Index   int    `json:"index"`
 	Program string `json:"program,omitempty"`
 	RunID   string `json:"run_id,omitempty"`
-	// Node is the node that served the item ("" solo).
-	Node    string `json:"node,omitempty"`
 	Status  int    `json:"status"`
 	Verdict string `json:"verdict,omitempty"`
 	MinK    *int   `json:"min_k,omitempty"`
@@ -53,9 +49,7 @@ type BatchItemResult struct {
 // regardless of completion order.
 type BatchResponse struct {
 	BatchID string `json:"batch_id"`
-	// Node is the coordinating node ("" solo).
-	Node  string `json:"node,omitempty"`
-	Total int    `json:"total"`
+	Total   int    `json:"total"`
 	// OK is true iff every item succeeded; a single failed item (engine
 	// error, timeout, rejection) marks the whole batch.
 	OK        bool              `json:"ok"`
@@ -63,7 +57,7 @@ type BatchResponse struct {
 	Failed    int               `json:"failed"`
 	Verdicts  map[string]int    `json:"verdicts,omitempty"`
 	Items     []BatchItemResult `json:"items"`
-	// ElapsedSeconds is the batch's wall time on the coordinator.
+	// ElapsedSeconds is the batch's wall time on the server.
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
 }
 
@@ -130,11 +124,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Fan out under the batch semaphore. Items forwarded to peers only
-	// hold a semaphore slot (they wait on the network); local items
-	// additionally queue through blocking admission, so a batch wider
-	// than the worker pool exerts backpressure by waiting, never by
-	// tripping its own items into 429s.
+	// Fan out under the batch semaphore, one slot per worker, so a wide
+	// batch never fills the admission queue that direct requests share.
+	// Items queue through blocking admission, so a batch wider than the
+	// worker pool exerts backpressure by waiting, never by tripping its
+	// own items into 429s.
 	results := make([]BatchItemResult, len(breq.Items))
 	var wg sync.WaitGroup
 	for i, item := range breq.Items {
@@ -163,7 +157,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	wg.Wait()
 
 	agg := BatchResponse{
-		BatchID: batchID, Node: s.nodeID(), Total: len(results),
+		BatchID: batchID, Total: len(results),
 		Verdicts: map[string]int{}, Items: results,
 		ElapsedSeconds: time.Since(started).Seconds(),
 	}
@@ -189,10 +183,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, agg)
 }
 
-// runBatchItem runs one batch item through the same routed execution
-// path as a direct request: its own run ID and ledger entry (stamped
-// with the batch ID), forwarding to the item's owner when that node is
-// up, local execution with blocking admission otherwise.
+// runBatchItem runs one batch item through the same execution path as
+// a direct request: its own run ID and ledger entry (stamped with the
+// batch ID), with blocking admission.
 func (s *Server) runBatchItem(ctx context.Context, batchID string, idx int, item VerifyRequest, mink bool) BatchItemResult {
 	itemStart := time.Now()
 	s.reqs.Inc()
@@ -219,21 +212,13 @@ func (s *Server) runBatchItem(ctx context.Context, batchID string, idx int, item
 	ctx, cancel := context.WithDeadline(ctx, deadline)
 	defer cancel()
 
-	var rr runResult
-	done := false
-	if owner, ok := s.forwardTarget(item, prog, false); ok {
-		rr, _, done = s.forwardRun(ctx, rc, owner, endpointPath(mink), item)
-	}
-	if !done {
-		rr = s.runLocal(ctx, rc, item, prog, mink, deadline, true)
-	}
+	rr := s.execute(ctx, rc, item, prog, mink, deadline, true)
 	res.Status = rr.status
 	res.Error = rr.errMsg
 	if rr.status == http.StatusOK {
 		res.Verdict = rr.resp.Verdict
 		res.MinK = rr.resp.MinK
 		res.States = rr.resp.States
-		res.Node = rr.resp.Node
 		if len(rr.resp.WitnessJSONL) > 0 {
 			sum := sha256.Sum256(rr.resp.WitnessJSONL)
 			res.WitnessSHA = hex.EncodeToString(sum[:])
@@ -241,12 +226,4 @@ func (s *Server) runBatchItem(ctx context.Context, batchID string, idx int, item
 	}
 	res.ElapsedSeconds = time.Since(itemStart).Seconds()
 	return res
-}
-
-// endpointPath maps the mink flag onto the API path, for forwarding.
-func endpointPath(mink bool) string {
-	if mink {
-		return "/v1/mink"
-	}
-	return "/v1/verify"
 }

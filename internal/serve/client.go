@@ -27,11 +27,10 @@ type Client struct {
 // NewClient targets one vbmcd base URL ("http://host:port") or a
 // comma-separated list of them ("http://n1:8080,http://n2:8080"). With
 // a list, verification POSTs fail over to the next endpoint when one
-// is unreachable or draining — any cluster node can serve any request,
-// so the client needs no ownership knowledge. GETs (version, event
-// streams) use the first endpoint. The HTTP client carries no timeout
-// of its own: the per-call context (and the server's compute deadline)
-// governs.
+// is unreachable or draining — any endpoint can serve any request.
+// GETs (version, event streams) use the first endpoint. The HTTP client
+// carries no timeout of its own: the per-call context (and the server's
+// compute deadline) governs.
 func NewClient(base string) *Client {
 	var bases []string
 	for _, b := range strings.Split(base, ",") {
@@ -143,8 +142,8 @@ func (c *Client) StreamEvents(ctx context.Context, id string, fn func(event stri
 const maxResponseBytes = 64 << 20
 
 // postAttempts bounds the retry loop: enough patience to ride out a
-// drain grace period or a busy burst, finite so a dead cluster
-// surfaces as an error rather than a hang.
+// drain grace period or a busy burst, finite so dead endpoints
+// surface as an error rather than a hang.
 const postAttempts = 6
 
 func (c *Client) post(ctx context.Context, path string, req VerifyRequest) (VerifyResponse, error) {
@@ -193,7 +192,7 @@ func (c *Client) post(ctx context.Context, path string, req VerifyRequest) (Veri
 			resp.StatusCode == http.StatusServiceUnavailable:
 			// 429 is backpressure, 503 is a draining (or restarting)
 			// server; both are transient. With other endpoints to try, a
-			// 503 fails over immediately — a peer can serve right now;
+			// 503 fails over immediately — another endpoint can serve now;
 			// otherwise wait out the server's Retry-After (fallback: a
 			// growing backoff) and try again.
 			lastErr = statusError(body, resp.StatusCode)

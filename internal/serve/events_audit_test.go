@@ -253,8 +253,7 @@ func TestLedgerAliasConcurrent(t *testing.T) {
 			defer wg.Done()
 			ref := fmt.Sprintf("ref-%d", w%3)
 			for i := 0; i < 100; i++ {
-				id := l.NewID()
-				l.Add(&RunRecord{ID: id, Start: time.Now(), Status: "running"})
+				id := l.Add(&RunRecord{Start: time.Now(), Status: "running"})
 				l.Alias(ref, id)
 				l.Resolve(ref)
 				l.Get(id)

@@ -23,10 +23,6 @@ type RunRecord struct {
 	// Endpoint is "verify" or "mink"; Mode is the cache mode requested.
 	Endpoint string `json:"endpoint"`
 	Mode     string `json:"mode,omitempty"`
-	// Node is the cluster node that served the run: this node's own ID
-	// for local executions, the owner's ID when the run was forwarded,
-	// "" on a solo daemon.
-	Node string `json:"node,omitempty"`
 	// Batch is the batch ID when this run was one item of a /v1/batch
 	// fan-out, "" for direct requests.
 	Batch string `json:"batch,omitempty"`
@@ -132,17 +128,6 @@ func NewLedger(capacity int, audit io.Writer) *Ledger {
 	}
 }
 
-// NewID mints the next run ID: a per-process random prefix (so IDs
-// from different daemon incarnations never collide in logs) plus a
-// monotone sequence number.
-func (l *Ledger) NewID() string {
-	l.mu.Lock()
-	l.seq++
-	id := fmt.Sprintf("r-%s-%06d", l.prefix, l.seq)
-	l.mu.Unlock()
-	return id
-}
-
 // NewBatchID mints a batch ID from the same prefix and sequence space
 // as run IDs, "b-"-marked so a grep tells the two apart; every item of
 // the batch carries it in its RunRecord.Batch.
@@ -154,9 +139,16 @@ func (l *Ledger) NewBatchID() string {
 	return id
 }
 
-// Add inserts a record, evicting the oldest when full.
-func (l *Ledger) Add(rec *RunRecord) {
+// Add inserts a record, evicting the oldest when full, and returns the
+// run ID it minted into rec.ID: a per-process random prefix (so IDs
+// from different daemon incarnations never collide in logs) plus a
+// monotone sequence number. Minting under the lock that places the
+// record keeps the ring in ID order, so Recent is newest-first by ID.
+func (l *Ledger) Add(rec *RunRecord) string {
 	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.seq++
+	rec.ID = fmt.Sprintf("r-%s-%06d", l.prefix, l.seq)
 	if old := l.ring[l.head]; old != nil {
 		delete(l.byID, old.ID)
 		if old.ClientRef != "" && l.aliases[old.ClientRef] == old.ID {
@@ -170,7 +162,7 @@ func (l *Ledger) Add(rec *RunRecord) {
 	if l.count < l.cap {
 		l.count++
 	}
-	l.mu.Unlock()
+	return rec.ID
 }
 
 // Alias binds a caller-chosen reference to a run ID, so a client can

@@ -17,16 +17,11 @@ import (
 // The combined body (ok + draining) predates the split and stays for
 // existing probes.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	body := map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"ok":             true,
 		"draining":       s.Draining(),
 		"uptime_seconds": time.Since(s.start).Seconds(),
-	}
-	if cl := s.cfg.Cluster; cl != nil {
-		body["node"] = cl.Self()
-		body["peers"] = cl.Peers()
-	}
-	writeJSON(w, http.StatusOK, body)
+	})
 }
 
 func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
@@ -116,26 +111,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.scalar("ravbmc_serve_batch_item_failures_total", "counter", "Batch items that failed.", s.batchItemFails.Value())
 	m.histogram("ravbmc_serve_request_seconds", "End-to-end request latency, decode to response.", s.hRequest.Snapshot())
 	m.histogram("ravbmc_serve_queue_wait_seconds", "Time from arrival to admission.", s.hQueueWait.Snapshot())
-
-	// Cluster families render only when this node is part of a cluster;
-	// a solo daemon's exposition is unchanged.
-	if cl := s.cfg.Cluster; cl != nil {
-		cs := cl.Stats()
-		m.scalar("ravbmc_cluster_forwards_total", "counter", "Requests forwarded to their owner shard.", cs.Forwards)
-		m.scalar("ravbmc_cluster_forward_retries_total", "counter", "Backoff retries inside forwards (owner 429).", cs.ForwardRetries)
-		m.scalar("ravbmc_cluster_forward_fallbacks_total", "counter", "Requests run locally because their owner was unavailable.", cs.ForwardFallbacks)
-		m.scalar("ravbmc_cluster_peer_fill_hits_total", "counter", "Local misses answered from the owner's cache.", cs.PeerFillHits)
-		m.scalar("ravbmc_cluster_peer_fill_misses_total", "counter", "Owner-cache reads that found nothing.", cs.PeerFillMisses)
-		m.scalar("ravbmc_cluster_peer_fill_served_total", "counter", "Cache reads this node served for peers.", cs.PeerFillServed)
-		m.scalar("ravbmc_cluster_probes_total", "counter", "Health probes sent to peers.", cs.Probes)
-		m.scalar("ravbmc_cluster_probe_failures_total", "counter", "Health probes that failed.", cs.ProbeFailures)
-		peers := cl.Peers()
-		m.scalar("ravbmc_cluster_peers", "gauge", "Cluster membership size, this node included.", len(peers))
-		m.family("ravbmc_cluster_peer_state", "gauge", "Peer state as this node sees it (0 up, 1 draining, 2 down).")
-		for _, p := range peers {
-			fmt.Fprintf(&m.b, "ravbmc_cluster_peer_state{peer=%q} %d\n", p.ID, p.State)
-		}
-	}
 
 	// Live search telemetry, aggregated over every in-flight run's
 	// SearchStats snapshot.

@@ -233,8 +233,7 @@ func TestLedgerBoundsConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				id := l.NewID()
-				l.Add(&RunRecord{ID: id, Start: time.Now(), Endpoint: "verify", Status: "running"})
+				id := l.Add(&RunRecord{Start: time.Now(), Endpoint: "verify", Status: "running"})
 				l.Update(id, func(r *RunRecord) { r.Status = "done" })
 				l.Get(id)
 				l.Recent(4)
@@ -277,8 +276,7 @@ func TestLedgerBoundsConcurrent(t *testing.T) {
 // exactly one must win.
 func TestSlowDumpExactlyOnce(t *testing.T) {
 	l := NewLedger(4, nil)
-	id := l.NewID()
-	l.Add(&RunRecord{ID: id, Status: "running"})
+	id := l.Add(&RunRecord{Status: "running"})
 	var wins int32
 	var mu sync.Mutex
 	var wg sync.WaitGroup

@@ -15,9 +15,8 @@ import (
 )
 
 // drainRetryAfter is the Retry-After stamped on 503 drain rejections:
-// long enough for the draining process to exit and its replacement (or
-// a peer) to take over, short enough that clients and forwarding nodes
-// re-try promptly.
+// long enough for the draining process to exit and its replacement to
+// take over, short enough that clients re-try promptly.
 const drainRetryAfter = "2"
 
 // runCtx bundles one run's plumbing — ledger record, tracing recorder,
@@ -35,17 +34,14 @@ type runCtx struct {
 
 // newRun mints a run: ledger entry (Status "running"), private child
 // recorder, root span and registered sampler. Every path out of the run
-// must call finish (usually via fail or runLocal) exactly once.
+// must call finish (usually via fail or execute) exactly once.
 func (s *Server) newRun(endpoint, batchID string) *runCtx {
 	started := time.Now()
-	runID := s.ledger.NewID()
 	rec := s.obs.Child()
 	root := rec.StartPhase("request")
-	record := &RunRecord{
-		ID: runID, Start: started, Endpoint: endpoint, Status: "running",
-		Node: s.nodeID(), Batch: batchID,
-	}
-	s.ledger.Add(record)
+	runID := s.ledger.Add(&RunRecord{
+		Start: started, Endpoint: endpoint, Status: "running", Batch: batchID,
+	})
 	s.log.Debug("request start", "run_id", runID, "endpoint", endpoint)
 
 	// Every run gets a search-telemetry sampler, registered so the SSE
@@ -179,11 +175,11 @@ func (s *Server) deadline(req VerifyRequest) time.Time {
 	return time.Now().Add(timeout)
 }
 
-// runLocal executes the request on this node: admission, drain
-// re-check, flight recorder, peer cache fill and the engines. wait
-// selects blocking admission (batch items queue for a slot) over the
-// direct handlers' fail-fast 429.
-func (s *Server) runLocal(ctx context.Context, rc *runCtx, req VerifyRequest, prog *lang.Program, mink bool, deadline time.Time, wait bool) runResult {
+// execute runs the request: admission, drain re-check, flight
+// recorder, cache and the engines. wait selects blocking admission
+// (batch items queue for a slot) over the direct handlers' fail-fast
+// 429.
+func (s *Server) execute(ctx context.Context, rc *runCtx, req VerifyRequest, prog *lang.Program, mink bool, deadline time.Time, wait bool) runResult {
 	span := rc.rec.StartPhase("queue_wait")
 	release, err := s.admitRequest(ctx, wait)
 	span.End()
@@ -219,15 +215,14 @@ func (s *Server) runLocal(ctx context.Context, rc *runCtx, req VerifyRequest, pr
 		Reduce: s.cfg.Reduce, TMAI: s.cfg.TMAI, Obs: rc.rec,
 	}
 	var (
-		out    cache.Outcome
-		minK   *int
-		filled bool
+		out  cache.Outcome
+		minK *int
 	)
 	span = rc.rec.StartPhase("cache")
 	if mink {
-		out, minK, filled, err = s.runMinK(ctx, req, prog, deadline, xc)
+		out, minK, err = s.runMinK(ctx, req, prog, deadline, xc)
 	} else {
-		out, filled, err = s.verifyFill(ctx, req.cacheRequest(prog), xc)
+		out, err = s.cfg.Cache.Verify(ctx, req.cacheRequest(prog), xc)
 	}
 	span.End()
 	if err != nil {
@@ -240,19 +235,14 @@ func (s *Server) runLocal(ctx context.Context, rc *runCtx, req VerifyRequest, pr
 		}
 		return rc.fail(status, "", "%v", err)
 	}
-	disp := cacheDisposition(out)
-	if filled {
-		disp = "peer"
-	}
 	resp := VerifyResponse{
 		Outcome:        out,
 		Witness:        string(out.WitnessJSONL),
 		MinK:           minK,
 		RunID:          rc.id,
-		Node:           s.nodeID(),
 		Version:        s.cfg.Cache.Version(),
 		ElapsedSeconds: time.Since(rc.started).Seconds(),
 	}
-	rc.finish(http.StatusOK, out.Verdict, disp, out.States, "")
+	rc.finish(http.StatusOK, out.Verdict, cacheDisposition(out), out.States, "")
 	return runResult{status: http.StatusOK, resp: resp}
 }

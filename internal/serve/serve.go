@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"ravbmc/internal/cache"
-	"ravbmc/internal/cluster"
 	"ravbmc/internal/lang"
 	"ravbmc/internal/obs"
 )
@@ -74,17 +73,6 @@ type Config struct {
 	// event stream live and lands a ravbmc.search/v1 series in its
 	// ledger entry.
 	SampleInterval time.Duration
-	// Cluster, when non-nil, makes this node one shard of a
-	// horizontally scaled service: requests owned by other live nodes
-	// are forwarded there, local cold misses consult the owner's cache
-	// first, and /metrics grows the ravbmc_cluster_* families. Nil runs
-	// the classic single-node daemon.
-	Cluster *cluster.Cluster
-	// BatchWorkers bounds how many /v1/batch items are in flight at
-	// once on this coordinator (<=0 selects 4*Workers: forwarded items
-	// spend their life waiting on peers, so the fan-out runs wider than
-	// the local worker pool).
-	BatchWorkers int
 }
 
 // Server handles the verification API. Construct with New, expose
@@ -123,10 +111,7 @@ type Server struct {
 	// histograms so their /metrics families exist on every server.
 	hRequest, hQueueWait *obs.Histogram
 
-	// peerHTTP carries cluster traffic (forwards, cache fills); no
-	// client timeout — the per-call context governs.
-	peerHTTP *http.Client
-	// batchSem bounds concurrent /v1/batch items on this coordinator.
+	// batchSem bounds concurrent /v1/batch items, one per worker.
 	batchSem                            chan struct{}
 	batches, batchItems, batchItemFails *obs.Counter
 }
@@ -147,9 +132,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 1 << 20
-	}
-	if cfg.BatchWorkers <= 0 {
-		cfg.BatchWorkers = 4 * cfg.Workers
 	}
 	log := cfg.Log
 	if log == nil {
@@ -176,8 +158,7 @@ func New(cfg Config) *Server {
 		hRequest:   obs.NewHistogram("serve.request_seconds", obs.DurationBuckets),
 		hQueueWait: obs.NewHistogram("serve.queue_wait_seconds", obs.DurationBuckets),
 
-		peerHTTP:       &http.Client{},
-		batchSem:       make(chan struct{}, cfg.BatchWorkers),
+		batchSem:       make(chan struct{}, cfg.Workers),
 		batches:        cfg.Obs.Counter("serve.batches"),
 		batchItems:     cfg.Obs.Counter("serve.batch_items"),
 		batchItemFails: cfg.Obs.Counter("serve.batch_item_failures"),
@@ -193,7 +174,6 @@ func New(cfg Config) *Server {
 //	GET  /v1/runs      — recent run-ledger entries, newest first
 //	GET  /v1/runs/{id} — one run in full detail (span tree included)
 //	GET  /v1/runs/{id}/events — SSE search-telemetry stream (live or replay)
-//	GET  /v1/cache/{key} — internal: peer cache-fill read by digest
 //	GET  /healthz      — liveness (always 200 while the process runs)
 //	GET  /readyz       — readiness (503 while draining)
 //	GET  /v1/version   — toolchain version
@@ -210,7 +190,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/runs", s.handleRuns)
 	mux.HandleFunc("GET /v1/runs/{id}", s.handleRunDetail)
 	mux.HandleFunc("GET /v1/runs/{id}/events", s.handleRunEvents)
-	mux.HandleFunc("GET /v1/cache/{key}", s.handleCacheGet)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /v1/version", s.handleVersion)
@@ -257,6 +236,20 @@ func (s *Server) Draining() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.draining
+}
+
+// handleReadyz serves GET /readyz: readiness, distinct from /healthz
+// liveness. A draining node is alive (healthz 200) but not ready
+// (readyz 503) — load balancers key off this.
+func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+	if s.Draining() {
+		w.Header().Set("Retry-After", drainRetryAfter)
+		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+			"ready": false, "draining": true,
+		})
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]any{"ready": true, "draining": false})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -374,23 +367,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request, mink bool)
 	ctx, cancelDeadline := context.WithDeadline(ctx, deadline)
 	defer cancelDeadline()
 
-	// Cluster routing: a request another live node owns is forwarded
-	// there and its reply relayed byte-for-byte; a failed forward falls
-	// back to local execution below.
-	forwarded := r.Header.Get(forwardedHeader) != ""
-	if owner, ok := s.forwardTarget(req, prog, forwarded); ok {
-		if res, body, done := s.forwardRun(ctx, rc, owner, endpointPath(mink), req); done {
-			if res.retryAfter != "" {
-				w.Header().Set("Retry-After", res.retryAfter)
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(res.status)
-			w.Write(body)
-			return
-		}
-	}
-
-	writeRunResult(w, s.runLocal(ctx, rc, req, prog, mink, deadline, false))
+	writeRunResult(w, s.execute(ctx, rc, req, prog, mink, deadline, false))
 }
 
 // cacheDisposition names how the outcome was obtained, for the ledger
@@ -438,38 +415,34 @@ const defaultMaxK = 8
 // cached at a smaller bound or a SAFE cached at a larger one short-
 // circuits whole prefixes of the search. Returns the first UNSAFE
 // outcome with its K, the final SAFE outcome with minK = -1, or the
-// first non-conclusive outcome as-is. filled reports that at least one
-// probe was answered by a peer's cache.
-func (s *Server) runMinK(ctx context.Context, req VerifyRequest, prog *lang.Program, deadline time.Time, xc cache.ExecConfig) (cache.Outcome, *int, bool, error) {
+// first non-conclusive outcome as-is.
+func (s *Server) runMinK(ctx context.Context, req VerifyRequest, prog *lang.Program, deadline time.Time, xc cache.ExecConfig) (cache.Outcome, *int, error) {
 	maxK := req.MaxK
 	if maxK == 0 {
 		maxK = defaultMaxK
 	}
 	if maxK < req.K {
-		return cache.Outcome{}, nil, false, fmt.Errorf("max_k %d below starting k %d", maxK, req.K)
+		return cache.Outcome{}, nil, fmt.Errorf("max_k %d below starting k %d", maxK, req.K)
 	}
 	var out cache.Outcome
-	filled := false
 	for k := req.K; k <= maxK; k++ {
 		cr := req.cacheRequest(prog)
 		cr.K = k
 		xc.Timeout = time.Until(deadline)
 		var err error
-		var f bool
-		out, f, err = s.verifyFill(ctx, cr, xc)
-		filled = filled || f
+		out, err = s.cfg.Cache.Verify(ctx, cr, xc)
 		if err != nil {
-			return cache.Outcome{}, nil, filled, err
+			return cache.Outcome{}, nil, err
 		}
 		if out.Verdict == cache.VerdictUnsafe {
-			return out, &k, filled, nil
+			return out, &k, nil
 		}
 		if out.Verdict != cache.VerdictSafe {
 			// Inconclusive or disagreement: report it at this bound
 			// rather than pretending larger bounds would be sound.
-			return out, nil, filled, nil
+			return out, nil, nil
 		}
 	}
 	minK := -1
-	return out, &minK, filled, nil
+	return out, &minK, nil
 }

@@ -40,17 +40,9 @@
 # the speedup, so the snapshot records how much the result cache buys
 # on the recording machine (acceptance: warm ≥5x faster than cold).
 #
-# The same rows are then swept as one POST /v1/batch against a 3-node
-# vbmcd cluster (static -peers list, ephemeral ports) three times: a
-# cold pass (every cell computed once, spread across the ring by
-# consistent-hash ownership), a warm pass (every cell answered by its
-# owner's cache over forwarding) and a peer-filled pass (one member is
-# SIGTERM'd into draining first, so the coordinator absorbs its items
-# by filling from the draining owner's still-warm cache). Each pass
-# lands as a "vbmcd_cluster" entry with its wall seconds; the
-# peer-filled entry also records the coordinator's peer-fill hit
-# count, so the snapshot shows what cluster cache locality buys — and
-# costs — on the recording machine.
+# The same rows are then swept as one POST /v1/batch against a fresh
+# daemon, cold and then warm; both passes land as "vbmcd" entries on
+# the "tables_1-2_quick_batch" bench with their wall seconds.
 #
 # Finally BenchmarkDedupModes is run (serial, -benchmem) and each
 # sub-benchmark line is appended as a "dedup" entry with ns/op, B/op,
@@ -130,8 +122,18 @@ EOF
   awk -v ns=$((t1 - t0)) 'BEGIN { printf "%.3f", ns / 1e9 }'
 }
 
-scrape_metric() { # scrape_metric BASE METRIC — counter value, 0 if absent
-  curl -fsS "$1/metrics" | awk -v m="$2" '$1 == m { print $2; found = 1 } END { if (!found) print 0 }'
+# start_daemon DIR — launch vbmcd with a disk store in DIR on an
+# ephemeral port, setting daemon (its pid) and base (its URL).
+start_daemon() {
+  /tmp/vbmcd-bench -addr 127.0.0.1:0 -disk "$1/cache.jsonl" \
+    >"$1/vbmcd.out" 2>"$1/vbmcd.err" &
+  daemon=$!
+  base=""
+  for _ in $(seq 1 100); do
+    base="$(sed -n 's/^vbmcd listening on //p' "$1/vbmcd.out")"
+    [ -n "$base" ] && break
+    sleep 0.1
+  done
 }
 
 {
@@ -199,15 +201,7 @@ scrape_metric() { # scrape_metric BASE METRIC — counter value, 0 if absent
     printf '{"tool": "ratables", "bench": "tables_1-4_quick", "config": {"jobs": "%s", "timeout": "%s", "cpus": "%s"}, "wall_seconds": %s}\n' \
       "$jobs" "$table_timeout" "$(nproc)" "$secs"
   done
-  /tmp/vbmcd-bench -addr 127.0.0.1:0 -disk "$tracedir/cache.jsonl" \
-    >"$tracedir/vbmcd.out" 2>"$tracedir/vbmcd.err" &
-  daemon=$!
-  base=""
-  for _ in $(seq 1 100); do
-    base="$(sed -n 's/^vbmcd listening on //p' "$tracedir/vbmcd.out")"
-    [ -n "$base" ] && break
-    sleep 0.1
-  done
+  start_daemon "$tracedir"
   cold="$(remote_sweep "$base")"
   warm="$(remote_sweep "$base")"
   kill "$daemon" 2>/dev/null && wait "$daemon" 2>/dev/null || true
@@ -221,90 +215,16 @@ scrape_metric() { # scrape_metric BASE METRIC — counter value, 0 if absent
   awk -v c="$cold" -v w="$warm" 'BEGIN {
     printf "{\"tool\": \"vbmcd\", \"bench\": \"tables_1-2_quick_remote\", \"config\": {\"pass\": \"speedup\"}, \"cold_over_warm\": %.1f}\n", c / w
   }'
-  # 3-node cluster sweep: cold, warm, then peer-filled with one member
-  # draining. The static peer list needs the ports up front.
-  cat >"$tracedir/freeports.go" <<'EOF'
-package main
-
-import (
-	"fmt"
-	"net"
-	"os"
-	"strconv"
-)
-
-func main() {
-	n, _ := strconv.Atoi(os.Args[1])
-	lns := make([]net.Listener, n)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		lns[i] = ln
-		fmt.Println(ln.Addr().(*net.TCPAddr).Port)
-	}
-	for _, ln := range lns {
-		ln.Close()
-	}
-}
-EOF
-  mapfile -t cports < <(go run "$tracedir/freeports.go" 3)
-  cpeers="c1=http://127.0.0.1:${cports[0]},c2=http://127.0.0.1:${cports[1]},c3=http://127.0.0.1:${cports[2]}"
-  cpids=()
-  for i in 0 1 2; do
-    /tmp/vbmcd-bench -addr "127.0.0.1:${cports[$i]}" -node-id "c$((i+1))" \
-      -peers "$cpeers" -drain-grace 120s -probe-interval 500ms \
-      >"$tracedir/c$((i+1)).out" 2>"$tracedir/c$((i+1)).err" &
-    cpids+=($!)
-  done
-  cbase="http://127.0.0.1:${cports[0]}"
-  vbase="http://127.0.0.1:${cports[2]}"
-  for b in "$cbase" "http://127.0.0.1:${cports[1]}" "$vbase"; do
-    for _ in $(seq 1 100); do
-      curl -fsS "$b/healthz" >/dev/null 2>&1 && break
-      sleep 0.1
-    done
-  done
-  ccold="$(batch_sweep "$cbase")"
-  cwarm="$(batch_sweep "$cbase")"
-  # Drain c3: a parked long verification (pinned local by the forwarded
-  # header) keeps it alive-but-draining through the peer-filled pass.
-  curl -fsS -X POST "$vbase/v1/verify" -H 'Content-Type: application/json' \
-    -H 'X-Ravbmc-Forwarded-From: bench' \
-    -d '{"bench":"peterson_1","mode":"vbmc","k":5,"unroll":6,"timeout_seconds":120}' \
-    >/dev/null 2>&1 &
-  cpark=$!
-  for _ in $(seq 1 50); do
-    [ "$(scrape_metric "$vbase" ravbmc_serve_active)" -gt 0 ] && break
-    sleep 0.1
-  done
-  kill -TERM "${cpids[2]}" 2>/dev/null || true
-  for _ in $(seq 1 50); do
-    [ "$(curl -s -o /dev/null -w '%{http_code}' "$vbase/readyz")" = "503" ] && break
-    sleep 0.1
-  done
-  fills0="$(scrape_metric "$cbase" ravbmc_cluster_peer_fill_hits_total)"
-  cfilled="$(batch_sweep "$cbase")"
-  fills=$(( $(scrape_metric "$cbase" ravbmc_cluster_peer_fill_hits_total) - fills0 ))
-  kill "$cpark" 2>/dev/null || true
-  wait "$cpark" 2>/dev/null || true
-  for p in "${cpids[@]}"; do
-    kill "$p" 2>/dev/null || true
-    wait "$p" 2>/dev/null || true
-  done
-  for pass in cold warm peer_filled; do
-    case "$pass" in
-      cold) secs="$ccold" ;;
-      warm) secs="$cwarm" ;;
-      peer_filled) secs="$cfilled" ;;
-    esac
+  mkdir -p "$tracedir/batch"
+  start_daemon "$tracedir/batch"
+  bcold="$(batch_sweep "$base")"
+  bwarm="$(batch_sweep "$base")"
+  kill "$daemon" 2>/dev/null && wait "$daemon" 2>/dev/null || true
+  for pass in cold warm; do
+    [ "$pass" = cold ] && secs="$bcold" || secs="$bwarm"
     echo ','
-    extra=""
-    [ "$pass" = peer_filled ] && extra=", \"peer_fill_hits\": $fills"
-    printf '{"tool": "vbmcd_cluster", "bench": "tables_1-2_quick_batch", "config": {"pass": "%s", "nodes": "3", "timeout": "%s", "cpus": "%s"}, "wall_seconds": %s%s}\n' \
-      "$pass" "$table_timeout" "$(nproc)" "$secs" "$extra"
+    printf '{"tool": "vbmcd", "bench": "tables_1-2_quick_batch", "config": {"pass": "%s", "timeout": "%s", "cpus": "%s"}, "wall_seconds": %s}\n' \
+      "$pass" "$table_timeout" "$(nproc)" "$secs"
   done
   go test -run '^$' -bench BenchmarkDedupModes -benchmem -benchtime "${DEDUP_BENCHTIME:-2s}" . 2>/dev/null |
     awk '/^BenchmarkDedupModes\// {

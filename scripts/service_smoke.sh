@@ -17,7 +17,10 @@
 #      /v1/runs/{id}/events replays ≥1 search frame and ends with a
 #      done frame, and a live in-flight run (addressed by its
 #      client_ref alias) streams ≥1 search frame mid-run;
-#   6. a SIGTERM delivered while a long verification is in flight
+#   6. the same rows posted as one POST /v1/batch come back ok, each
+#      item with the verdict the vbmc -remote sweep reported and every
+#      UNSAFE item with the SHA-256 of the witness the sweep received;
+#   7. a SIGTERM delivered while a long verification is in flight
 #      drains gracefully: the daemon exits 0 and logs "drained, bye".
 #
 # Usage:
@@ -161,6 +164,54 @@ wait "$live_pid" 2>/dev/null || true
   cat "$tmp/live.sse" >&2; exit 1; }
 echo "live SSE OK (in-flight stream delivered search frames)" >&2
 
+# Batch: the sweep rows as one /v1/batch. Every item must succeed with
+# the verdict the vbmc -remote pass reported for its row, and every
+# UNSAFE item must carry the digest of the witness that pass received.
+batch_payload() {
+  sweep_rows | jq -Rs --argjson t "$req_timeout" '
+    {items: [split("\n")[] | select(length > 0) | split(" ") |
+      {bench: .[0], mode: "vbmc", k: (.[1] | tonumber),
+       unroll: (.[2] | tonumber), timeout_seconds: $t}]}'
+}
+
+# run_batch BASE OUT.tsv RESP.json — POST the sweep as one batch and
+# extract one row per item: bench, verdict, witness digest.
+run_batch() {
+  batch_payload | curl -fsS -X POST "$1/v1/batch" \
+    -H 'Content-Type: application/json' -d @- >"$3"
+  jq -e '.ok == true' "$3" >/dev/null || {
+    echo "FAIL: batch against $1 not ok:" >&2
+    jq '{ok, failed, items: [.items[] | select(.status != 200)]}' "$3" >&2
+    exit 1
+  }
+  jq -r '.items | sort_by(.index)[] |
+    [.program, .verdict // "", (.witness_sha256 // "")] | @tsv' \
+    "$3" >"$2"
+}
+
+run_batch "$base" "$tmp/batch.tsv" "$tmp/batch.json"
+if ! cmp -s <(cut -f2 "$tmp/pass1.tsv") <(cut -f2 "$tmp/batch.tsv"); then
+  echo "FAIL: batch verdicts differ from the vbmc -remote sweep:" >&2
+  paste <(cut -f1,2 "$tmp/pass1.tsv") <(cut -f2 "$tmp/batch.tsv") >&2
+  exit 1
+fi
+if awk -F'\t' '$2 == "UNSAFE" && $3 == "" { bad = 1 } END { exit !bad }' "$tmp/batch.tsv"; then
+  echo "FAIL: an UNSAFE batch item carries no witness_sha256:" >&2
+  cat "$tmp/batch.tsv" >&2
+  exit 1
+fi
+# The batch is answered from the warm cache, so each digest is that of
+# the witness the sweep received.
+while IFS=$'\t' read -r _ _ _ w64; do
+  [ -n "$w64" ] && printf '%s' "$w64" | base64 -d | sha256sum | cut -d' ' -f1 || echo
+done <"$tmp/pass1.tsv" >"$tmp/pass1.sha"
+if ! cmp -s "$tmp/pass1.sha" <(cut -f3 "$tmp/batch.tsv"); then
+  echo "FAIL: batch witness digests differ from the sweep's witnesses:" >&2
+  paste "$tmp/pass1.sha" <(cut -f3 "$tmp/batch.tsv") >&2
+  exit 1
+fi
+echo "batch OK ($(wc -l <"$tmp/batch.tsv") items, verdicts match the sweep)" >&2
+
 # Graceful drain under fire: park a long verification on the daemon,
 # then SIGTERM it mid-run. The daemon must exit 0 within the grace.
 "$tmp/vbmc" -remote "$base" -bench 'peterson_4(3)' -k 2 -l 1 -timeout 120s \
@@ -183,4 +234,4 @@ grep -q 'drained, bye' "$tmp/vbmcd.err" || {
   exit 1
 }
 
-echo "service smoke OK: $rows rows byte-identical across passes, $hits warm hits, clean drain" >&2
+echo "service smoke OK: $rows rows byte-identical across passes, $hits warm hits, batch verdicts match, clean drain" >&2
