@@ -70,9 +70,6 @@ func run() int {
 		emit       = flag.Bool("emit", false, "print the translated SC program instead of checking")
 		autoK      = flag.Int("auto-k", -1, "search for the minimal K up to this bound instead of using -k")
 		jobs       = flag.Int("jobs", 0, "concurrent runs for -auto-k and -portfolio (0 = all CPUs, 1 = serial)")
-		swWorkers  = flag.Int("workers", 0, "work-stealing workers inside each backend search (0 and 1 = one depth-first worker, negative = all CPUs; -reduce searches always use one); the verdict is identical at any width")
-		reduce     = flag.Bool("reduce", false, "source-DPOR reduction in the SC backend: explore only representative interleavings (verdict-neutral; forces an unbounded context bound, falls back to the full search where inapplicable)")
-		tmai       = flag.Bool("tmai", false, "thread-modular pre-pass: if the abstraction proves the program, report SAFE (unbounded, for every K) without searching")
 		portfolio  = flag.Bool("portfolio", false, "run every engine on the program and cross-check the verdicts")
 		jsonOut    = flag.Bool("json", false, "emit a JSON run report on stdout instead of the summary line")
 		progress   = flag.Bool("progress", false, "print periodic live progress snapshots to stderr")
@@ -85,7 +82,9 @@ func run() int {
 		spanFmt    = flag.String("span-format", "jsonl", "span export format: jsonl | chrome")
 		remote     = flag.String("remote", "", "vbmcd base URL (e.g. http://127.0.0.1:8080): verify via the daemon's cache instead of locally")
 		showVer    = flag.Bool("version", false, "print the toolchain version and exit")
+		eng        ravbmc.VBMCEngine
 	)
+	eng.RegisterFlags(flag.CommandLine, "workers")
 	// Parse manually so flag errors exit 3 (usage error) rather than the
 	// flag package's default 2, which would collide with INCONCLUSIVE.
 	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
@@ -94,20 +93,16 @@ func run() int {
 	} else if err != nil {
 		return 3
 	}
-	// An explicitly passed -workers (any value, 0 included) is stamped
-	// into the JSON report's config, so bench sweeps over pool widths
-	// are self-describing — including their one-worker baseline.
-	workersSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "workers" {
-			workersSet = true
-		}
-	})
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if *showVer {
 		fmt.Println(version.String())
 		return 0
 	}
 	if *remote != "" {
+		if err := checkRemoteFlags(set); err != nil {
+			return fail(err)
+		}
 		return runRemote(remoteOptions{
 			base: *remote, file: *file, bench: *bench, portfolio: *portfolio,
 			k: *k, l: *l, autoK: *autoK, contexts: *contexts,
@@ -227,8 +222,7 @@ func run() int {
 	start := time.Now()
 	opts := ravbmc.VBMCOptions{
 		K: *k, Unroll: *l, MaxContexts: *contexts, Timeout: *timeout,
-		ExactDedup: *exactDedup, Workers: *swWorkers,
-		Reduce: *reduce, TMAI: *tmai, Obs: rec,
+		ExactDedup: *exactDedup, Engine: eng, Obs: rec,
 	}
 	var res ravbmc.VBMCResult
 	if *autoK >= 0 {
@@ -256,15 +250,18 @@ func run() int {
 		rep.Tool = "vbmc"
 		rep.Bench = prog.Name
 		rep.Search = smp.Series()
-		if *traceOut != "" || *spanOut != "" || smp != nil || workersSet || *reduce || *tmai {
+		// An explicitly passed -workers (any value, 0 included) is
+		// stamped into the config, so bench sweeps over pool widths are
+		// self-describing — including their one-worker baseline.
+		if *traceOut != "" || *spanOut != "" || smp != nil || set["workers"] || eng.Reduce || eng.TMAI {
 			rep.Config = map[string]string{}
-			if workersSet {
-				rep.Config["workers"] = fmt.Sprint(*swWorkers)
+			if set["workers"] {
+				rep.Config["workers"] = fmt.Sprint(eng.Workers)
 			}
-			if *reduce {
+			if eng.Reduce {
 				rep.Config["reduce"] = "enabled"
 			}
-			if *tmai {
+			if eng.TMAI {
 				rep.Config["tmai"] = "enabled"
 			}
 			if *traceOut != "" {

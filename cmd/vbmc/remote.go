@@ -30,6 +30,24 @@ type remoteOptions struct {
 	watch      bool
 }
 
+// localEngineFlags are the flags that shape only a local run: with
+// -remote, vbmcd's own -search-workers, -reduce, -tmai and -jobs decide
+// how the daemon searches.
+var localEngineFlags = []string{"jobs", "reduce", "tmai", "workers"}
+
+// checkRemoteFlags rejects a -remote run given any of localEngineFlags
+// explicitly; set holds the names of the flags on the command line.
+// Ignoring them would print a verdict the user believes was, say,
+// reduced, when the daemon's settings decided it.
+func checkRemoteFlags(set map[string]bool) error {
+	for _, name := range localEngineFlags {
+		if set[name] {
+			return fmt.Errorf("-%s cannot be used with -remote: vbmcd's own flags decide how the daemon searches", name)
+		}
+	}
+	return nil
+}
+
 // runRemote sends the verification to a vbmcd daemon and renders the
 // reply with the same summary format and exit codes as a local run.
 // The daemon's cache answers warm queries without re-exploring.

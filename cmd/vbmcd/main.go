@@ -57,10 +57,6 @@ func run() int {
 		disk       = flag.String("disk", "", "JSONL disk store path; entries survive restarts (empty = memory only)")
 		defTimeout = flag.Duration("default-timeout", 60*time.Second, "compute deadline for requests that name none")
 		maxTimeout = flag.Duration("max-timeout", 10*time.Minute, "cap on a request's compute deadline")
-		jobs       = flag.Int("jobs", 0, "portfolio pool width (0 = engine default)")
-		searchWkrs = flag.Int("search-workers", 0, "work-stealing workers inside each single search (0 and 1 = one depth-first worker; Reduce searches always use one); -workers admission slots each running this many workers occupy their product in CPUs at saturation")
-		reduce     = flag.Bool("reduce", false, "source-DPOR reduction in every vbmc request's SC backend (verdict-neutral; falls back to the full search where inapplicable)")
-		tmai       = flag.Bool("tmai", false, "thread-modular pre-pass on vbmc requests: programs it proves get an unbounded SAFE that the cache reuses at every K")
 		drainGrace = flag.Duration("drain-grace", 30*time.Second, "how long a shutdown waits for in-flight work before hard-cancelling")
 		ledgerSize = flag.Int("ledger", 256, "run records retained in memory behind /v1/runs (0 = default)")
 		runLog     = flag.String("run-log", "", "append one JSON line per completed run to this file (empty = off)")
@@ -68,7 +64,11 @@ func run() int {
 		sampleIv   = flag.Duration("sample-interval", 500*time.Millisecond, "search-telemetry sampling cadence for live runs (SSE stream and ledger series)")
 		logJSON    = flag.Bool("log-json", false, "emit request logs as JSON instead of key=value text")
 		showVer    = flag.Bool("version", false, "print the toolchain version and exit")
+		xc         cache.ExecConfig
 	)
+	flag.IntVar(&xc.Jobs, "jobs", 0, "portfolio pool width (0 = engine default)")
+	// -workers is taken by admission slots, so the search pool is -search-workers.
+	xc.RegisterFlags(flag.CommandLine, "search-workers")
 	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
 	if err := flag.CommandLine.Parse(os.Args[1:]); err == flag.ErrHelp {
 		return 0
@@ -110,8 +110,7 @@ func run() int {
 	s := serve.New(serve.Config{
 		Cache: c, Workers: *workers, Queue: *queue,
 		DefaultTimeout: *defTimeout, MaxTimeout: *maxTimeout,
-		Jobs: *jobs, SearchWorkers: *searchWkrs,
-		Reduce: *reduce, TMAI: *tmai, Obs: rec,
+		Exec: xc, Obs: rec,
 		Log: slog.New(handler), LedgerSize: *ledgerSize,
 		RunLog: audit, SlowRunThreshold: *slowRun,
 		SampleInterval: *sampleIv,

@@ -155,6 +155,13 @@ func (g *gen) spinPlain(pr *lang.Proc, skip bool, round []lang.Stmt, exitCond la
 // "tbar(3)", "bakery".
 var namePattern = regexp.MustCompile(`^([a-z_]+?)(?:_(\d))?(?:\((\d+)\))?$`)
 
+// maxThreads bounds the thread count ByName builds. The paper's tables
+// go up to 10. Names reach ByName from vbmcd request bodies, and the
+// generators grow faster than linearly in the count: building
+// bakery(3000) ran an 8 GB machine out of memory before any request
+// deadline could apply.
+const maxThreads = 64
+
 // ByName builds the benchmark program for a paper-style name. The
 // version suffix defaults to _0 and the thread count to 2, matching the
 // paper's conventions.
@@ -178,6 +185,9 @@ func ByName(name string) (*lang.Program, error) {
 	}
 	if n < 2 {
 		return nil, fmt.Errorf("benchmarks: %q needs at least 2 threads", name)
+	}
+	if n > maxThreads {
+		return nil, fmt.Errorf("benchmarks: %q has more than %d threads", name, maxThreads)
 	}
 	switch proto {
 	case "peterson":

@@ -62,7 +62,8 @@ func TestAllGeneratorsValidate(t *testing.T) {
 }
 
 func TestByNameErrors(t *testing.T) {
-	for _, name := range []string{"nosuch", "peterson_9", "dekker(3)", "sim_dekker(4)", "peterson(1)", ""} {
+	for _, name := range []string{"nosuch", "peterson_9", "dekker(3)", "sim_dekker(4)", "peterson(1)", "",
+		"bakery(65)", "peterson(99999999)", "tbar(99999999999999999999)"} {
 		if _, err := ByName(name); err == nil {
 			t.Errorf("ByName(%q) should fail", name)
 		}

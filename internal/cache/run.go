@@ -15,9 +15,10 @@ import (
 	"ravbmc/internal/trace"
 )
 
-// ExecConfig carries the resource parameters of one execution — the
-// knobs that shape how a run spends time, never what it decides, and
-// that therefore stay out of the cache key.
+// ExecConfig carries the parameters of one execution that shape how a
+// run spends time, never what it decides, and that therefore stay out
+// of the cache key: no field of ExecConfig or core.Engine is keyed,
+// every field of Request is.
 type ExecConfig struct {
 	// Timeout caps the run's wall clock (0 = none); the surrounding
 	// context's deadline applies as well.
@@ -25,22 +26,12 @@ type ExecConfig struct {
 	// Jobs is the portfolio's pool width (<= 0 selects runtime.NumCPU);
 	// the single-engine modes run serially inside their worker slot.
 	Jobs int
-	// SearchWorkers is the work-stealing pool width inside a single
-	// search (core.Options.Workers / ra.Options.Workers): 0 and 1 run
-	// one depth-first worker, n > 1 runs n workers, negative selects
-	// runtime.NumCPU. Verdict-neutral, so it stays out of the
-	// cache key like every other ExecConfig knob.
-	SearchWorkers int
-	// Reduce turns on source-DPOR in the vbmc mode's SC backend
-	// (core.Options.Reduce). Verdict-neutral — only representative
-	// interleavings are pruned — so it stays out of the cache key.
-	Reduce bool
-	// TMAI enables the thread-modular pre-pass in the vbmc mode
-	// (core.Options.TMAI). Any verdict it produces is correct for the
-	// requested K (an unbounded proof answers every bound), so it too
-	// stays out of the key; an unbounded SAFE it proves is stored with
-	// Outcome.Unbounded and subsumes every later K.
-	TMAI bool
+	// Engine is passed whole to core.Run in the vbmc mode; the ra modes
+	// run on a pool of its Workers and StealSeed. Any verdict a TMAI
+	// pre-pass proves is correct for the requested K (an unbounded
+	// proof answers every bound) and is stored with Outcome.Unbounded,
+	// so it subsumes every later K.
+	core.Engine
 	// Obs, when non-nil, instruments the run.
 	Obs *obs.Recorder
 }
@@ -77,8 +68,7 @@ func execute(ctx context.Context, req Request, x ExecConfig) (Outcome, error) {
 		res, err := core.Run(prog, core.Options{
 			K: req.K, Unroll: req.Unroll, MaxContexts: req.MaxContexts,
 			MaxStates: req.MaxStates, Timeout: x.Timeout, Ctx: ctx,
-			ExactDedup: req.ExactDedup, Workers: x.SearchWorkers,
-			Reduce: x.Reduce, TMAI: x.TMAI, Obs: x.Obs,
+			ExactDedup: req.ExactDedup, Engine: x.Engine, Obs: x.Obs,
 		})
 		if err != nil {
 			return Outcome{}, err
@@ -133,7 +123,7 @@ func execute(ctx context.Context, req Request, x ExecConfig) (Outcome, error) {
 		x.Obs.Search().SetProbe(int64(bound), unrollProbe)
 		opts := ra.Options{
 			ViewBound: bound, StopOnViolation: true, MaxStates: req.MaxStates,
-			ExactDedup: req.ExactDedup, Workers: x.SearchWorkers, Ctx: ctx, Obs: x.Obs,
+			ExactDedup: req.ExactDedup, Workers: x.Workers, StealSeed: x.StealSeed, Ctx: ctx, Obs: x.Obs,
 		}
 		if x.Timeout > 0 {
 			opts.Deadline = time.Now().Add(x.Timeout)

@@ -165,7 +165,7 @@ func TestUnboundedDiskRoundTrip(t *testing.T) {
 func TestVerifyUnboundedEndToEnd(t *testing.T) {
 	c := newTestCache(t, Config{})
 	prog := tmaiProg()
-	x := ExecConfig{TMAI: true}
+	x := ExecConfig{Engine: core.Engine{TMAI: true}}
 	first, err := c.Verify(context.Background(), Request{Prog: prog, Mode: ModeVBMC, K: 2}, x)
 	if err != nil {
 		t.Fatal(err)

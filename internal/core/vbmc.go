@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"strconv"
 	"sync"
@@ -44,6 +45,45 @@ func (v Verdict) String() string {
 	return fmt.Sprintf("verdict(%d)", int(v))
 }
 
+// Engine holds the knobs that change how the engines search, never
+// what they decide: the verdict is the same at every setting (see
+// internal/partest), so no cache key includes them. It is declared once
+// here and passed whole through cache.ExecConfig and serve.Config.
+type Engine struct {
+	// Workers is the work-stealing pool width of every backend search:
+	// 0 and 1 both run one depth-first worker, n > 1 runs n workers,
+	// negative selects runtime.NumCPU. Reduced searches always run on
+	// one worker. Only wall clock changes with the width.
+	Workers int
+	// StealSeed seeds the backend pools' steal-order randomization;
+	// exposed for the differential fuzz harness.
+	StealSeed int64
+	// Reduce turns on the SC backend's source-DPOR partial-order
+	// reduction (sc.Options.Reduce): only representative interleavings
+	// of commuting independent steps are explored. The backend forces
+	// an unbounded context bound when reducing (bounded contexts do not
+	// commute), so the iterative context-deepening ladder is skipped;
+	// verdicts are unchanged, state counts shrink. Falls back to the
+	// unreduced search on programs where the reduction does not apply.
+	Reduce bool
+	// TMAI runs the thread-modular abstract-interpretation pre-pass
+	// (internal/tmai) before any bounded search: if it proves the
+	// program safe, the Result is Safe with Unbounded=true — a proof
+	// for every K and L, not just the requested bounds. The pre-pass
+	// handles loops by widening, so it runs before the unroll
+	// requirement check. On Unknown the bounded pipeline proceeds
+	// normally.
+	TMAI bool
+}
+
+// RegisterFlags registers -reduce, -tmai and the search-pool width
+// flag, named workersFlag, on fs, each writing into e.
+func (e *Engine) RegisterFlags(fs *flag.FlagSet, workersFlag string) {
+	fs.IntVar(&e.Workers, workersFlag, 0, "work-stealing workers inside each backend search (0 and 1 = one depth-first worker, negative = all CPUs; -reduce searches always use one); the verdict is identical at any width")
+	fs.BoolVar(&e.Reduce, "reduce", false, "source-DPOR reduction in the SC backend: explore only representative interleavings (verdict-neutral; forces an unbounded context bound, falls back to the full search where inapplicable)")
+	fs.BoolVar(&e.TMAI, "tmai", false, "thread-modular pre-pass: if the abstraction proves the program, report SAFE (unbounded, for every K) without searching")
+}
+
 // Options configures a VBMC run.
 type Options struct {
 	// K is the view-switch budget.
@@ -78,31 +118,8 @@ type Options struct {
 	// keys instead of 64-bit fingerprints (see sc.Options.ExactDedup and
 	// internal/fp); for collision-paranoid runs and parity testing.
 	ExactDedup bool
-	// Workers is the work-stealing pool width of every SC backend
-	// search: 0 and 1 both run one depth-first worker, n > 1 runs n
-	// workers, negative selects runtime.NumCPU. Reduced searches always
-	// run on one worker. The verdict is identical at every width (see
-	// internal/partest); only wall clock changes.
-	Workers int
-	// StealSeed seeds the backend pools' steal-order randomization;
-	// exposed for the differential fuzz harness.
-	StealSeed int64
-	// Reduce turns on the SC backend's source-DPOR partial-order
-	// reduction (sc.Options.Reduce): only representative interleavings
-	// of commuting independent steps are explored. The backend forces
-	// an unbounded context bound when reducing (bounded contexts do not
-	// commute), so the iterative context-deepening ladder is skipped;
-	// verdicts are unchanged, state counts shrink. Falls back to the
-	// unreduced search on programs where the reduction does not apply.
-	Reduce bool
-	// TMAI runs the thread-modular abstract-interpretation pre-pass
-	// (internal/tmai) before any bounded search: if it proves the
-	// program safe, the Result is Safe with Unbounded=true — a proof
-	// for every K and L, not just the requested bounds. The pre-pass
-	// handles loops by widening, so it runs before the unroll
-	// requirement check. On Unknown the bounded pipeline proceeds
-	// normally.
-	TMAI bool
+	// Engine holds the verdict-neutral search knobs.
+	Engine
 	// Obs, when non-nil, instruments the run: the driver records
 	// per-phase spans (validate, unroll, per-probe translate / compile /
 	// deepen / search, the full translate, and the final compile /

@@ -210,10 +210,8 @@ func (s *Server) execute(ctx context.Context, rc *runCtx, req VerifyRequest, pro
 		defer timer.Stop()
 	}
 
-	xc := cache.ExecConfig{
-		Timeout: time.Until(deadline), Jobs: s.cfg.Jobs, SearchWorkers: s.cfg.SearchWorkers,
-		Reduce: s.cfg.Reduce, TMAI: s.cfg.TMAI, Obs: rc.rec,
-	}
+	xc := s.cfg.Exec
+	xc.Timeout, xc.Obs = time.Until(deadline), rc.rec
 	var (
 		out  cache.Outcome
 		minK *int

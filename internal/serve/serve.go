@@ -34,22 +34,14 @@ type Config struct {
 	MaxTimeout     time.Duration
 	// MaxBodyBytes caps a request body (<=0 selects 1 MiB).
 	MaxBodyBytes int64
-	// Jobs is the portfolio pool width passed through to executions
-	// (<=0 selects the engine default).
-	Jobs int
-	// SearchWorkers is the work-stealing pool width inside each single
-	// search (0 and 1 = one depth-first worker). It trades intra-query latency against the
-	// admission Workers above: n admission slots each running w search
-	// workers occupy n*w CPUs at saturation, so size the product to the
-	// machine.
-	SearchWorkers int
-	// Reduce turns on source-DPOR in every vbmc-mode request's SC
-	// backend; TMAI enables the thread-modular pre-pass, whose unbounded
-	// SAFE proofs land in the cache's unbounded tier and answer every
-	// later K. Both are verdict-neutral execution knobs
-	// (cache.ExecConfig), not request parameters.
-	Reduce bool
-	TMAI   bool
+	// Exec is copied into every execution, which sets only its Timeout
+	// (from the request's deadline) and Obs (the request's recorder).
+	// Its engine knobs are verdict-neutral, so they stay out of the cache
+	// key: a TMAI pre-pass's unbounded SAFE proofs land in the cache's
+	// unbounded tier and answer every later K. Each admission slot runs
+	// its searches on Exec.Workers search workers, so Workers times
+	// Exec.Workers CPUs are busy at saturation.
+	Exec cache.ExecConfig
 	// Obs, when non-nil, is mirrored onto /metrics alongside the
 	// server's own instruments; per-request recorders mirror their
 	// engine counters into it.

@@ -16,11 +16,8 @@ import (
 
 	"ravbmc/internal/benchmarks"
 	"ravbmc/internal/cache"
-	"ravbmc/internal/core"
-	"ravbmc/internal/lang"
 	"ravbmc/internal/obs"
 	"ravbmc/internal/sched"
-	"ravbmc/internal/smc"
 )
 
 // Config controls a table run.
@@ -97,8 +94,10 @@ type Table struct {
 // Tools compared in every table, in the paper's column order.
 var toolColumns = []string{"VBMC", "Tracer", "Cdsc", "Rcmc"}
 
-var smcAlgorithms = map[string]smc.Algorithm{
-	"Tracer": smc.AlgorithmTracer, "Cdsc": smc.AlgorithmCDS, "Rcmc": smc.AlgorithmRCMC,
+// toolModes maps tool columns onto cache modes.
+var toolModes = map[string]string{
+	"VBMC": cache.ModeVBMC, "Tracer": cache.ModeTracer,
+	"Cdsc": cache.ModeCDSC, "Rcmc": cache.ModeRCMC,
 }
 
 // rowSpec names one benchmark line of a table before it is run.
@@ -145,16 +144,34 @@ func buildTable(cfg Config, name, caption string, specs []rowSpec) Table {
 	return t
 }
 
-// runCell runs one tool on one benchmark, building a fresh program.
+// runCell runs one tool on one benchmark, building a fresh program,
+// through Config.Cache (a nil cache just executes). A cached SAFE or
+// UNSAFE is reused (including across K by subsumption for VBMC);
+// anything non-conclusive renders T.O and is re-run next sweep.
 func runCell(ctx context.Context, cfg Config, s rowSpec, tool string) Cell {
 	prog, err := benchmarks.ByName(s.bench)
 	if err != nil {
 		return Cell{Tool: tool, Verdict: "ERR"}
 	}
-	if tool == "VBMC" {
-		return runVBMC(ctx, cfg, prog, s.k, s.l)
+	k := s.k
+	if tool != "VBMC" {
+		k = 0 // the stateless checkers have no view bound
 	}
-	return runSMC(ctx, cfg, prog, tool, s.l)
+	rec := cfg.recorder(prog.Name, tool)
+	start := time.Now()
+	out, err := cfg.Cache.Verify(ctx, cache.Request{Prog: prog, Mode: toolModes[tool], K: k, Unroll: s.l},
+		cache.ExecConfig{Timeout: cfg.timeout(), Obs: rec})
+	cell := Cell{Tool: tool, Seconds: time.Since(start).Seconds()}
+	switch {
+	case err != nil:
+		cell.Verdict = "ERR"
+	case out.Verdict == cache.VerdictSafe || out.Verdict == cache.VerdictUnsafe:
+		cell.Verdict = out.Verdict
+	default:
+		cell.Verdict = "T.O" // inconclusive: timeout or cap, never memoized
+	}
+	attach(&cell, rec, prog.Name, k, s.l)
+	return cell
 }
 
 // recorder consults the Obs hook for one tool invocation.
@@ -176,79 +193,6 @@ func attach(cell *Cell, rec *obs.Recorder, bench string, k, l int) {
 	rep.Verdict = cell.Verdict
 	rep.K, rep.L = k, l
 	cell.Report = rep
-}
-
-func runVBMC(ctx context.Context, cfg Config, prog *lang.Program, k, l int) Cell {
-	rec := cfg.recorder(prog.Name, "VBMC")
-	if cfg.Cache != nil {
-		cell := runCached(ctx, cfg, prog, cache.ModeVBMC, "VBMC", k, l, rec)
-		attach(&cell, rec, prog.Name, k, l)
-		return cell
-	}
-	start := time.Now()
-	res, err := core.Run(prog, core.Options{K: k, Unroll: l, Timeout: cfg.timeout(), Ctx: ctx, Obs: rec})
-	cell := Cell{Tool: "VBMC", Seconds: time.Since(start).Seconds()}
-	switch {
-	case err != nil:
-		cell.Verdict = "ERR"
-	case res.TimedOut:
-		cell.Verdict = "T.O"
-	default:
-		cell.Verdict = res.Verdict.String()
-	}
-	attach(&cell, rec, prog.Name, k, l)
-	return cell
-}
-
-// cacheModes maps tool columns onto cache modes.
-var cacheModes = map[string]string{
-	"VBMC": cache.ModeVBMC, "Tracer": cache.ModeTracer,
-	"Cdsc": cache.ModeCDSC, "Rcmc": cache.ModeRCMC,
-}
-
-// runCached answers one cell through the result cache. A cached SAFE
-// or UNSAFE is reused (including across K by subsumption for VBMC);
-// anything non-conclusive renders T.O and is re-run next sweep.
-func runCached(ctx context.Context, cfg Config, prog *lang.Program, mode, tool string, k, l int, rec *obs.Recorder) Cell {
-	start := time.Now()
-	out, err := cfg.Cache.Verify(ctx, cache.Request{Prog: prog, Mode: mode, K: k, Unroll: l},
-		cache.ExecConfig{Timeout: cfg.timeout(), Obs: rec})
-	cell := Cell{Tool: tool, Seconds: time.Since(start).Seconds()}
-	switch {
-	case err != nil:
-		cell.Verdict = "ERR"
-	case out.Verdict == cache.VerdictSafe || out.Verdict == cache.VerdictUnsafe:
-		cell.Verdict = out.Verdict
-	default:
-		cell.Verdict = "T.O" // inconclusive: timeout or cap, never memoized
-	}
-	return cell
-}
-
-func runSMC(ctx context.Context, cfg Config, prog *lang.Program, tool string, l int) Cell {
-	rec := cfg.recorder(prog.Name, tool)
-	if cfg.Cache != nil {
-		cell := runCached(ctx, cfg, prog, cacheModes[tool], tool, 0, l, rec)
-		attach(&cell, rec, prog.Name, 0, l)
-		return cell
-	}
-	start := time.Now()
-	res, err := smc.Check(prog, smc.Options{Algorithm: smcAlgorithms[tool], Unroll: l, Timeout: cfg.timeout(), Ctx: ctx, Obs: rec})
-	cell := Cell{Tool: tool, Seconds: time.Since(start).Seconds()}
-	switch {
-	case err != nil:
-		cell.Verdict = "ERR"
-	case res.TimedOut:
-		cell.Verdict = "T.O"
-	case res.Violation:
-		cell.Verdict = "UNSAFE"
-	case res.Exhausted:
-		cell.Verdict = "SAFE"
-	default:
-		cell.Verdict = "T.O" // capped without conclusion
-	}
-	attach(&cell, rec, prog.Name, 0, l)
-	return cell
 }
 
 // Table1 is the paper's Table 1: the original unfenced mutual-exclusion

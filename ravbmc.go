@@ -61,9 +61,12 @@ type (
 // VBMC pipeline types.
 type (
 	// VBMCOptions configures a VBMC run: the view bound K, the loop
-	// unrolling bound, optional backend limits, and an optional
-	// observability recorder.
+	// unrolling bound, optional backend limits, the embedded
+	// VBMCEngine, and an optional observability recorder.
 	VBMCOptions = core.Options
+	// VBMCEngine holds the verdict-neutral search knobs: pool width,
+	// steal seed, source-DPOR reduction and the TMAI pre-pass.
+	VBMCEngine = core.Engine
 	// VBMCResult carries the verdict, witness trace and statistics; when
 	// the run was instrumented it also carries a Report.
 	VBMCResult = core.Result
